@@ -12,6 +12,7 @@
 package dimmunix_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -80,6 +81,53 @@ func TestFastPathRWMutexReadZeroAllocs(t *testing.T) {
 	}
 	if rt.Stats().FastGos == 0 {
 		t.Fatal("measurement never took the fast tier")
+	}
+}
+
+// TestFastPathTimedAndCtxZeroAllocs: a deadline or a context costs an
+// uncontended fast-tier acquisition nothing — the pipeline arms its
+// deadline timer only once it actually has to wait, for Mutex and
+// RWMutex alike.
+func TestFastPathTimedAndCtxZeroAllocs(t *testing.T) {
+	rt := allocRT(t, dimmunix.Config{Mode: dimmunix.ModeFull})
+	th := rt.RegisterThread("alloc-timed")
+	defer th.Close()
+	m, rw := rt.NewMutex(), rt.NewRWMutex()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rows := []struct {
+		name    string
+		acquire func() error
+		release func() error
+	}{
+		{"Mutex.LockTimeoutT", func() error { return m.LockTimeoutT(th, time.Minute) }, func() error { return m.UnlockT(th) }},
+		{"Mutex.LockCtxT", func() error { return m.LockCtxT(th, ctx) }, func() error { return m.UnlockT(th) }},
+		{"RWMutex.LockTimeoutT", func() error { return rw.LockTimeoutT(th, time.Minute) }, func() error { return rw.UnlockT(th) }},
+		{"RWMutex.RLockTimeoutT", func() error { return rw.RLockTimeoutT(th, time.Minute) }, func() error { return rw.RUnlockT(th) }},
+		{"RWMutex.LockCtxT", func() error { return rw.LockCtxT(th, ctx) }, func() error { return rw.UnlockT(th) }},
+		{"RWMutex.RLockCtxT", func() error { return rw.RLockCtxT(th, ctx) }, func() error { return rw.RUnlockT(th) }},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			pair := func() {
+				if err := r.acquire(); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.release(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 200; i++ {
+				pair() // warm the tables, as above
+			}
+			before := rt.Stats().FastAcquired
+			if avg := testing.AllocsPerRun(2000, pair); avg >= 1 {
+				t.Fatalf("fast-tier %s allocates: %.3f allocs/op (want < 1)", r.name, avg)
+			}
+			if rt.Stats().FastAcquired == before {
+				t.Fatal("measurement never took the fast tier")
+			}
+		})
 	}
 }
 

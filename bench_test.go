@@ -281,7 +281,7 @@ func BenchmarkFig9_GateLockEnterExit(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md section 5) --------------------------------------
+// --- Ablations (guard kind, thread identity) -------------------------------
 
 func BenchmarkAblationGuardMutex(b *testing.B) {
 	lockOpBench(b, dimmunix.Config{Guard: dimmunix.GuardMutex}, 64)
@@ -505,20 +505,6 @@ func BenchmarkLockBareMutexParallel(b *testing.B) {
 				}(ms[i])
 			}
 			wg.Wait()
-		})
-	}
-}
-
-// BenchmarkLockDataStructsShards measures the sharded guard where it is
-// designed to help: the data-structs ablation, whose bookkeeping takes
-// only the lock-shard/thread-shard pair instead of one global section.
-func BenchmarkLockDataStructsShards(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			benchLockParallel(b, dimmunix.Config{
-				Mode:        dimmunix.ModeDataStructs,
-				GuardShards: shards,
-			}, 0, 8)
 		})
 	}
 }

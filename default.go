@@ -143,7 +143,6 @@ func Shutdown() error {
 //	DIMMUNIX_STACK_DEPTH       int
 //	DIMMUNIX_CALIBRATE         bool
 //	DIMMUNIX_DISCARD_OBSOLETE  bool
-//	DIMMUNIX_GUARD_SHARDS      int (avoidance guard shard count)
 //	DIMMUNIX_THREAD_TTL        Go duration (idle implicit-thread pruning;
 //	                           negative disables)
 //	DIMMUNIX_FASTPATH          on | off (safe-stack lock-free bypass)
@@ -186,9 +185,6 @@ func configFromEnv() (Config, error) {
 		return cfg, err
 	}
 	if err := envBool("DIMMUNIX_DISCARD_OBSOLETE", &cfg.DiscardObsolete); err != nil {
-		return cfg, err
-	}
-	if err := envInt("DIMMUNIX_GUARD_SHARDS", &cfg.GuardShards); err != nil {
 		return cfg, err
 	}
 	if err := envDuration("DIMMUNIX_THREAD_TTL", &cfg.ThreadTTL); err != nil {

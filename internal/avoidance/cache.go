@@ -10,13 +10,10 @@
 // and records yield-cause bindings so it can be woken when any binding
 // breaks.
 //
-// Synchronization is two-tier. The guarded tier uses a pluggable guard
+// Synchronization is two-tier. The guarded tier uses one pluggable guard
 // (sync.Mutex, TAS spin lock, or the generalized Peterson filter lock of
-// §5.6) — optionally split into shards (Config.GuardShards): decision
-// operations acquire every shard in index order, bookkeeping operations
-// only the lock's shard plus the thread's home shard — protecting every
-// mutable structure here, including the mutable fields of
-// *signature.Signature. The lock-free tier (FastRequest/FastAcquired/
+// §5.6) protecting every mutable structure here, including the mutable
+// fields of *signature.Signature. The lock-free tier (FastRequest/FastAcquired/
 // FastRelease/FastCancel) handles requests whose call stack is provably
 // safe under the current history epoch: such stacks appear in no matcher,
 // so their edges could never change any decision, and the tier touches no
@@ -91,18 +88,16 @@ type ThreadState struct {
 	// fast-tier holds. It is a leaf lock (never held while taking the
 	// guard or any mutex-side lock): the release path consults it first
 	// (ReleaseAny) and the epoch reconciler (adoptFastHolds, under the
-	// full guard scope) adopts dangerous entries out of it, so the two
+	// guard) adopts dangerous entries out of it, so the two
 	// sides linearize on fhMu — whichever wins, the hold is accounted
 	// exactly once.
 	fhMu      sync.Mutex
 	fastHolds []fastHold
 
-	// entryFree recycles entry nodes for this thread. Protected by the
-	// thread's home guard shard (every alloc/free site holds it).
+	// entryFree recycles entry nodes for this thread. Like everything
+	// below, it is protected by the cache guard.
 	entryFree []*entry
 
-	// Everything below is protected by the cache guard (the thread's home
-	// shard, plus all shards for decision operations).
 	forcedGo     bool
 	pendingAllow *entry       // the outstanding allow edge, if any
 	holds        []*entry     // hold entries in acquisition order
@@ -130,10 +125,9 @@ func (t *ThreadState) NoteRelease() { t.liveHolds.Add(-1) }
 
 // LockState is the cache's per-lock node, embedded in the public Mutex.
 type LockState struct {
-	ID    uint64
-	shard int // guard shard index, fixed at creation
+	ID uint64
 
-	// Protected by the cache guard (the lock's shard).
+	// Protected by the cache guard.
 	owner   *ThreadState // nil when free (ownership per cache view)
 	waiters map[int32]*ThreadState
 }
@@ -145,19 +139,15 @@ type entry struct {
 	l    *LockState
 	st   *stack.Interned
 	held bool
-	// position of this entry in its stackState per-shard slice, for O(1)
-	// swap-removal. The slice is selected by e.l.shard.
+	// position of this entry in its stackState's slice, for O(1)
+	// swap-removal.
 	ssIdx int
 }
 
 // stackState is the per-interned-stack node carrying the Allowed set.
-// Entries are partitioned by their lock's guard shard so that bookkeeping
-// operations holding only that shard can mutate their partition without
-// racing bookkeeping on other shards; decision operations hold every
-// shard and may read all partitions.
 type stackState struct {
 	in      *stack.Interned
-	entries [][]*entry // indexed by lock shard
+	entries []*entry
 }
 
 // Decision is the outcome of Request.
@@ -190,16 +180,6 @@ type Config struct {
 	// Guard selects the mutual-exclusion primitive for the shared
 	// structures; nil selects sync.Mutex.
 	Guard peterson.Guard
-	// NewGuard builds one guard instance per shard when GuardShards > 1
-	// (Guard alone cannot be cloned). Falls back to sync.Mutex shards.
-	NewGuard func() peterson.Guard
-	// GuardShards splits the avoidance guard into this many independently
-	// lockable shards: decision operations (Request in full mode, Cancel,
-	// ThreadExit) acquire every shard in index order, while bookkeeping
-	// operations (Acquired, Release, reentrant acquisitions, and Request
-	// in data-structs mode) acquire only the lock's shard and the
-	// thread's home shard. <= 1 keeps the single global guard.
-	GuardShards int
 	// DisableFastPath forces every request through the guarded protocol
 	// (benchmark baselines and differential testing).
 	DisableFastPath bool
@@ -234,27 +214,23 @@ type Config struct {
 // Cache is the avoidance-side state of one Dimmunix runtime.
 type Cache struct {
 	cfg      Config
-	guards   []peterson.Guard // shard index -> guard; length >= 1
-	fastOK   bool             // precomputed: requests may use the lock-free tier
+	guard    peterson.Guard
+	fastOK   bool // precomputed: requests may use the lock-free tier
 	interner *stack.Interner
 	hist     *signature.History
 	emit     func(event.Event)
 	stats    *Stats
 
-	// stackStates is the interned-stack side table. The slice header is
-	// RCU-published (copy-on-write under ssMu) so operations holding only
-	// a shard pair can look stacks up without racing growth from another
-	// shard; each stackState's per-shard entry partitions are protected
-	// by their shard guard.
-	stackStates atomic.Pointer[[]*stackState]
-	ssMu        sync.Mutex
+	// stackStates is the interned-stack side table, indexed by interned
+	// stack ID. Guard held.
+	stackStates []*stackState
 
 	// threads is the registry of live thread nodes, for the monitor's
 	// steal-all-buffers flush and for epoch reconciliation of fast holds.
 	threadsMu sync.Mutex
 	threads   map[int32]*ThreadState
 
-	// Protected by the full decision scope (all shards).
+	// Protected by the guard.
 	matchers    []*sigMatcher
 	byStack     map[uint32][]matchRef // reverse index: stack -> signature positions
 	histVersion uint64
@@ -265,7 +241,7 @@ type Cache struct {
 	// were last reconciled against (adoptFastHolds).
 	reconciledEpoch uint64
 	// coverUsedT/coverUsedL are cover()'s recursion scratch, reused
-	// across requests — cover only ever runs under the full scope.
+	// across requests — cover only ever runs under the guard.
 	coverUsedT map[*ThreadState]bool
 	coverUsedL map[*LockState]bool
 
@@ -283,23 +259,12 @@ func NewCache(cfg Config, interner *stack.Interner, hist *signature.History, sta
 	if cfg.MaxThreads <= 0 {
 		cfg.MaxThreads = 1024
 	}
-	if cfg.GuardShards < 1 {
-		cfg.GuardShards = 1
-	}
-	guards := make([]peterson.Guard, cfg.GuardShards)
-	for i := range guards {
-		switch {
-		case i == 0 && cfg.Guard != nil:
-			guards[i] = cfg.Guard
-		case cfg.NewGuard != nil:
-			guards[i] = cfg.NewGuard()
-		default:
-			guards[i] = peterson.NewMutex()
-		}
+	if cfg.Guard == nil {
+		cfg.Guard = peterson.NewMutex()
 	}
 	c := &Cache{
 		cfg:        cfg,
-		guards:     guards,
+		guard:      cfg.Guard,
 		fastOK:     cfg.Mode == ModeFull && !cfg.IgnoreDecisions && !cfg.DisableFastPath,
 		interner:   interner,
 		hist:       hist,
@@ -314,48 +279,6 @@ func NewCache(cfg Config, interner *stack.Interner, hist *signature.History, sta
 		c.reconciledEpoch = hist.Danger().Epoch()
 	}
 	return c
-}
-
-// tShard returns the home guard shard of a thread.
-func (c *Cache) tShard(t *ThreadState) int { return t.Slot % len(c.guards) }
-
-// lockAll acquires every guard shard in index order (decision scope).
-func (c *Cache) lockAll(slot int) {
-	for _, g := range c.guards {
-		g.Lock(slot)
-	}
-}
-
-func (c *Cache) unlockAll(slot int) {
-	for i := len(c.guards) - 1; i >= 0; i-- {
-		c.guards[i].Unlock(slot)
-	}
-}
-
-// lockPair acquires shards a and b in index order (bookkeeping scope:
-// the lock's shard plus the thread's home shard).
-func (c *Cache) lockPair(a, b, slot int) {
-	if a == b {
-		c.guards[a].Lock(slot)
-		return
-	}
-	if a > b {
-		a, b = b, a
-	}
-	c.guards[a].Lock(slot)
-	c.guards[b].Lock(slot)
-}
-
-func (c *Cache) unlockPair(a, b, slot int) {
-	if a == b {
-		c.guards[a].Unlock(slot)
-		return
-	}
-	if a < b {
-		a, b = b, a
-	}
-	c.guards[a].Unlock(slot)
-	c.guards[b].Unlock(slot)
 }
 
 // Stats returns the cache's counters.
@@ -377,54 +300,36 @@ func (c *Cache) NewThread(id int32, slot int, name string) *ThreadState {
 
 // NewLock creates a lock node with a fresh ID.
 func (c *Cache) NewLock() *LockState {
-	id := c.nextLockID.Add(1)
-	return &LockState{ID: id, shard: int(id % uint64(len(c.guards)))}
+	return &LockState{ID: c.nextLockID.Add(1)}
 }
 
 // Intern exposes the runtime's stack interner.
 func (c *Cache) Intern(s stack.Stack) *stack.Interned { return c.interner.Intern(s) }
 
 // stackStateByID resolves the side-table node for an interned stack ID
-// (nil if the stack has no node yet). Safe under any guard scope: the
-// slice header is loaded atomically and published versions are immutable.
+// (nil if the stack has no node yet). Guard held.
 func (c *Cache) stackStateByID(id uint32) *stackState {
-	sl := c.stackStates.Load()
-	if sl == nil || int(id) >= len(*sl) {
+	if int(id) >= len(c.stackStates) {
 		return nil
 	}
-	return (*sl)[id]
+	return c.stackStates[id]
 }
 
-// stackState returns the node for in, creating and publishing it (copy on
-// write) if needed.
+// stackState returns the node for in, creating it if needed. Guard held.
 func (c *Cache) stackState(in *stack.Interned) *stackState {
 	if ss := c.stackStateByID(in.ID); ss != nil {
 		return ss
 	}
-	c.ssMu.Lock()
-	defer c.ssMu.Unlock()
-	var cur []*stackState
-	if sl := c.stackStates.Load(); sl != nil {
-		cur = *sl
+	for int(in.ID) >= len(c.stackStates) {
+		c.stackStates = append(c.stackStates, nil)
 	}
-	if int(in.ID) < len(cur) && cur[in.ID] != nil {
-		return cur[in.ID]
-	}
-	n := len(cur)
-	if int(in.ID) >= n {
-		n = int(in.ID) + 1
-	}
-	next := make([]*stackState, n)
-	copy(next, cur)
-	ss := &stackState{in: in, entries: make([][]*entry, len(c.guards))}
-	next[in.ID] = ss
-	c.stackStates.Store(&next)
+	ss := &stackState{in: in}
+	c.stackStates[in.ID] = ss
 	return ss
 }
 
 func (c *Cache) addEntry(t *ThreadState, l *LockState, in *stack.Interned, held bool) *entry {
 	ss := c.stackState(in)
-	sh := l.shard
 	var e *entry
 	if n := len(t.entryFree); n > 0 {
 		e = t.entryFree[n-1]
@@ -433,21 +338,19 @@ func (c *Cache) addEntry(t *ThreadState, l *LockState, in *stack.Interned, held 
 	} else {
 		e = &entry{}
 	}
-	e.t, e.l, e.st, e.held, e.ssIdx = t, l, in, held, len(ss.entries[sh])
-	ss.entries[sh] = append(ss.entries[sh], e)
+	e.t, e.l, e.st, e.held, e.ssIdx = t, l, in, held, len(ss.entries)
+	ss.entries = append(ss.entries, e)
 	return e
 }
 
 func (c *Cache) removeEntry(e *entry) {
 	ss := c.stackStateByID(e.st.ID)
-	part := ss.entries[e.l.shard]
-	last := len(part) - 1
-	part[e.ssIdx] = part[last]
-	part[e.ssIdx].ssIdx = e.ssIdx
-	ss.entries[e.l.shard] = part[:last]
+	last := len(ss.entries) - 1
+	ss.entries[e.ssIdx] = ss.entries[last]
+	ss.entries[e.ssIdx].ssIdx = e.ssIdx
+	ss.entries = ss.entries[:last]
 	e.ssIdx = -1
-	// Recycle through the owning thread's free list; the caller holds that
-	// thread's home shard on every removal path.
+	// Recycle through the owning thread's free list.
 	if t := e.t; len(t.entryFree) < 64 {
 		t.entryFree = append(t.entryFree, e)
 	}
@@ -600,14 +503,9 @@ func (c *Cache) NoteFastHold(t *ThreadState, l *LockState, in *stack.Interned, s
 		// sibling entry, the books still balance and matching only gets
 		// more conservative.)
 		if takeFastHold(t, l) {
-			ts := c.tShard(t)
-			c.lockPair(l.shard, ts, t.Slot)
-			e := c.addEntry(t, l, in, true)
-			t.holds = append(t.holds, e)
-			if !shared {
-				l.owner = t
-			}
-			c.unlockPair(l.shard, ts, t.Slot)
+			c.guard.Lock(t.Slot)
+			c.adoptHold(t, l, in, shared)
+			c.guard.Unlock(t.Slot)
 		}
 	}
 }
@@ -668,8 +566,8 @@ func (c *Cache) FastRelease(t *ThreadState, l *LockState) {
 // adoptFastHolds converts every outstanding fast hold whose stack is
 // dangerous under the current danger index into a guarded Allowed-set
 // entry, so signature matching sees it immediately. Holds whose stacks
-// remain safe stay in the log. Runs under the full decision scope; the
-// per-thread fhMu closes the race against concurrent releases.
+// remain safe stay in the log. Guard held; the per-thread fhMu closes the
+// race against concurrent releases.
 func (c *Cache) adoptFastHolds() {
 	idx := c.hist.Danger()
 	c.threadsMu.Lock()
@@ -681,16 +579,21 @@ func (c *Cache) adoptFastHolds() {
 				kept = append(kept, fh)
 				continue
 			}
-			e := c.addEntry(t, fh.l, fh.st, true)
-			t.holds = append(t.holds, e)
-			if !fh.shared {
-				fh.l.owner = t
-			}
+			c.adoptHold(t, fh.l, fh.st, fh.shared)
 		}
 		t.fastHolds = kept
 		t.fhMu.Unlock()
 	}
 	c.threadsMu.Unlock()
+}
+
+// adoptHold enters a fast hold t has on l into the Allowed sets (epoch
+// reconciliation). Guard held.
+func (c *Cache) adoptHold(t *ThreadState, l *LockState, in *stack.Interned, shared bool) {
+	t.holds = append(t.holds, c.addEntry(t, l, in, true))
+	if !shared {
+		l.owner = t
+	}
 }
 
 // FastBlocking announces that a fast-tier request is about to block on
@@ -756,15 +659,11 @@ func (c *Cache) Request(t *ThreadState, l *LockState, in *stack.Interned) Decisi
 		return Decision{Go: true}
 	}
 
-	// Full mode must read every shard's entries to match instances; the
-	// data-structs ablation only touches this lock's and thread's state.
-	full := c.cfg.Mode == ModeFull
-	ts := c.tShard(t)
-	c.lockScope(full, l.shard, ts, t.Slot)
+	c.guard.Lock(t.Slot)
 	clearYieldRegs(t)
 
 	var dec Decision
-	if full {
+	if c.cfg.Mode == ModeFull {
 		c.refreshIndex()
 		if ep := c.hist.Danger().Epoch(); ep != c.reconciledEpoch {
 			// The danger index moved (archive, sync pull, predicted push,
@@ -806,7 +705,7 @@ func (c *Cache) Request(t *ThreadState, l *LockState, in *stack.Interned) Decisi
 			t.yieldRegs = append(t.yieldRegs, b.L)
 			causes = append(causes, event.Cause{TID: b.T.ID, LID: b.L.ID, Stack: b.St, SigIdx: b.SigIdx})
 		}
-		c.unlockScope(full, l.shard, ts, t.Slot)
+		c.guard.Unlock(t.Slot)
 		c.lastAvoided.Store(dec.Sig)
 		c.stats.noteYield(dec.Sig.ID)
 		// Yield is emitted directly (it carries causes the Record format
@@ -835,70 +734,34 @@ func (c *Cache) Request(t *ThreadState, l *LockState, in *stack.Interned) Decisi
 
 	// GO: commit the allow edge.
 	t.pendingAllow = c.addEntry(t, l, in, false)
-	c.unlockScope(full, l.shard, ts, t.Slot)
+	c.guard.Unlock(t.Slot)
 	c.stats.Gos.Add(1)
 	c.bufEmit(t, event.Go, l.ID, in)
 	return dec
 }
 
-// lockScope acquires the guard scope of a request: every shard in full
-// mode, the lock/thread shard pair otherwise.
-func (c *Cache) lockScope(full bool, lshard, tshard, slot int) {
-	if full {
-		c.lockAll(slot)
-	} else {
-		c.lockPair(lshard, tshard, slot)
-	}
-}
-
-func (c *Cache) unlockScope(full bool, lshard, tshard, slot int) {
-	if full {
-		c.unlockAll(slot)
-	} else {
-		c.unlockPair(lshard, tshard, slot)
-	}
-}
-
 // Acquired converts t's outstanding allow edge on l into a hold edge.
-func (c *Cache) Acquired(t *ThreadState, l *LockState) {
-	c.stats.Acquired.Add(1)
-	c.stats.GuardedAcquired.Add(1)
-	t.liveHolds.Add(1)
-	if c.cfg.Mode == ModeInstrument {
-		c.emit(event.Event{Kind: event.Acquired, TID: t.ID, LID: l.ID})
-		return
-	}
-	ts := c.tShard(t)
-	c.lockPair(l.shard, ts, t.Slot)
-	e := t.pendingAllow
-	var in *stack.Interned
-	if e != nil && e.l == l {
-		e.held = true
-		t.pendingAllow = nil
-		t.holds = append(t.holds, e)
-		in = e.st
-	}
-	l.owner = t
-	c.unlockPair(l.shard, ts, t.Slot)
-	c.bufEmit(t, event.Acquired, l.ID, in)
-}
+func (c *Cache) Acquired(t *ThreadState, l *LockState) { c.acquired(t, l, false) }
 
 // AcquiredShared converts t's outstanding allow edge on l into a shared
 // ("reader-held") hold edge: the entry joins the Allowed sets like any
 // hold — so reader call sites participate in signature instances — but
 // exclusive ownership is not recorded, since any number of threads may
 // hold l shared simultaneously. Used by the RWMutex reader path.
-func (c *Cache) AcquiredShared(t *ThreadState, l *LockState) {
+func (c *Cache) AcquiredShared(t *ThreadState, l *LockState) { c.acquired(t, l, true) }
+
+func (c *Cache) acquired(t *ThreadState, l *LockState, shared bool) {
 	c.stats.Acquired.Add(1)
 	c.stats.GuardedAcquired.Add(1)
-	c.stats.SharedAcquired.Add(1)
+	if shared {
+		c.stats.SharedAcquired.Add(1)
+	}
 	t.liveHolds.Add(1)
 	if c.cfg.Mode == ModeInstrument {
 		c.emit(event.Event{Kind: event.Acquired, TID: t.ID, LID: l.ID})
 		return
 	}
-	ts := c.tShard(t)
-	c.lockPair(l.shard, ts, t.Slot)
+	c.guard.Lock(t.Slot)
 	e := t.pendingAllow
 	var in *stack.Interned
 	if e != nil && e.l == l {
@@ -907,7 +770,10 @@ func (c *Cache) AcquiredShared(t *ThreadState, l *LockState) {
 		t.holds = append(t.holds, e)
 		in = e.st
 	}
-	c.unlockPair(l.shard, ts, t.Slot)
+	if !shared {
+		l.owner = t
+	}
+	c.guard.Unlock(t.Slot)
 	c.bufEmit(t, event.Acquired, l.ID, in)
 }
 
@@ -926,11 +792,9 @@ func (c *Cache) ReentrantAcquired(t *ThreadState, l *LockState, in *stack.Intern
 		return true
 	}
 	if c.cfg.Mode != ModeInstrument {
-		ts := c.tShard(t)
-		c.lockPair(l.shard, ts, t.Slot)
-		e := c.addEntry(t, l, in, true)
-		t.holds = append(t.holds, e)
-		c.unlockPair(l.shard, ts, t.Slot)
+		c.guard.Lock(t.Slot)
+		t.holds = append(t.holds, c.addEntry(t, l, in, true))
+		c.guard.Unlock(t.Slot)
 	}
 	c.bufEmit(t, event.Acquired, l.ID, in)
 	return false
@@ -946,8 +810,7 @@ func (c *Cache) Release(t *ThreadState, l *LockState) {
 		c.emit(event.Event{Kind: event.Release, TID: t.ID, LID: l.ID})
 		return
 	}
-	ts := c.tShard(t)
-	c.lockPair(l.shard, ts, t.Slot)
+	c.guard.Lock(t.Slot)
 	for i := len(t.holds) - 1; i >= 0; i-- {
 		if t.holds[i].l == l {
 			c.removeEntry(t.holds[i])
@@ -965,18 +828,25 @@ func (c *Cache) Release(t *ThreadState, l *LockState) {
 	if !stillHolds && l.owner == t {
 		l.owner = nil
 	}
-	var toWake []*ThreadState
-	if len(l.waiters) > 0 {
-		toWake = make([]*ThreadState, 0, len(l.waiters))
-		for _, w := range l.waiters {
-			toWake = append(toWake, w)
-		}
-	}
-	c.unlockPair(l.shard, ts, t.Slot)
+	toWake := waitersOf(l)
+	c.guard.Unlock(t.Slot)
 	c.bufEmit(t, event.Release, l.ID, nil)
 	for _, w := range toWake {
 		wake(w)
 	}
+}
+
+// waitersOf snapshots the threads yielding on a cause binding that
+// involves l, to be woken once the guard is dropped. Guard held.
+func waitersOf(l *LockState) []*ThreadState {
+	if len(l.waiters) == 0 {
+		return nil
+	}
+	ws := make([]*ThreadState, 0, len(l.waiters))
+	for _, w := range l.waiters {
+		ws = append(ws, w)
+	}
+	return ws
 }
 
 // Cancel rolls back t's outstanding allow edge on l (trylock failure,
@@ -989,22 +859,14 @@ func (c *Cache) Cancel(t *ThreadState, l *LockState) {
 		c.emit(event.Event{Kind: event.Cancel, TID: t.ID, LID: l.ID})
 		return
 	}
-	// Decision scope: clearYieldRegs may touch waiter sets of cause locks
-	// on any shard.
-	c.lockAll(t.Slot)
+	c.guard.Lock(t.Slot)
 	clearYieldRegs(t)
 	if e := t.pendingAllow; e != nil && e.l == l {
 		c.removeEntry(e)
 		t.pendingAllow = nil
 	}
-	var toWake []*ThreadState
-	if len(l.waiters) > 0 {
-		toWake = make([]*ThreadState, 0, len(l.waiters))
-		for _, w := range l.waiters {
-			toWake = append(toWake, w)
-		}
-	}
-	c.unlockAll(t.Slot)
+	toWake := waitersOf(l)
+	c.guard.Unlock(t.Slot)
 	c.emit(event.Event{Kind: event.Cancel, TID: t.ID, LID: l.ID})
 	for _, w := range toWake {
 		wake(w)
@@ -1014,7 +876,7 @@ func (c *Cache) Cancel(t *ThreadState, l *LockState) {
 // ThreadExit deregisters a thread.
 func (c *Cache) ThreadExit(t *ThreadState) {
 	if c.cfg.Mode != ModeInstrument {
-		c.lockAll(t.Slot)
+		c.guard.Lock(t.Slot)
 		clearYieldRegs(t)
 		if t.pendingAllow != nil {
 			c.removeEntry(t.pendingAllow)
@@ -1027,7 +889,7 @@ func (c *Cache) ThreadExit(t *ThreadState) {
 			}
 		}
 		t.holds = nil
-		c.unlockAll(t.Slot)
+		c.guard.Unlock(t.Slot)
 	}
 	t.fhMu.Lock()
 	t.fastHolds = nil
@@ -1052,11 +914,10 @@ func (c *Cache) ThreadQuiescent(t *ThreadState) bool {
 	if c.cfg.Mode == ModeInstrument {
 		return true
 	}
-	ts := c.tShard(t)
-	c.guards[ts].Lock(t.Slot)
+	c.guard.Lock(t.Slot)
 	quiet := t.pendingAllow == nil && len(t.holds) == 0 &&
 		len(t.yieldRegs) == 0 && t.yieldSig == nil
-	c.guards[ts].Unlock(t.Slot)
+	c.guard.Unlock(t.Slot)
 	return quiet
 }
 
@@ -1065,23 +926,21 @@ func (c *Cache) ThreadQuiescent(t *ThreadState) bool {
 // the max-yield bound (§5.7). Fast-path requests leave the flag armed
 // (they never yield, so consuming it there would waive nothing).
 func (c *Cache) ForceGo(t *ThreadState) {
-	ts := c.tShard(t)
-	c.guards[ts].Lock(t.Slot)
+	c.guard.Lock(t.Slot)
 	t.forcedGo = true
-	c.guards[ts].Unlock(t.Slot)
+	c.guard.Unlock(t.Slot)
 	wake(t)
 }
 
-// WithGuard runs fn inside the full decision scope (every guard shard
-// held). The mutable per-signature fields (counters, calibration state,
+// WithGuard runs fn with the guard held. The mutable per-signature fields (counters, calibration state,
 // disabled adoption) are owned by this guard, so history snapshots taken
 // for store pushes and store merges folded into the live history must run
 // under it. slot identifies the caller for the filter guard: concurrent
 // callers need distinct slots (the runtime reserves one for the monitor
 // and one for the sync domain).
 func (c *Cache) WithGuard(slot int, fn func()) {
-	c.lockAll(slot)
-	defer c.unlockAll(slot)
+	c.guard.Lock(slot)
+	defer c.guard.Unlock(slot)
 	fn()
 }
 
@@ -1090,8 +949,8 @@ func (c *Cache) WithGuard(slot int, fn func()) {
 // automatically (§5.7). A zero threshold disables auto-disabling.
 func (c *Cache) NoteAbort(t *ThreadState, sigID string, autoDisableAfter uint64) {
 	c.stats.Aborts.Add(1)
-	// Decision scope: signature fields are shared with Request matching.
-	c.lockAll(t.Slot)
+	// Signature fields are shared with Request matching.
+	c.guard.Lock(t.Slot)
 	t.forcedGo = true
 	if sig := c.hist.Get(sigID); sig != nil {
 		sig.AbortCount++
@@ -1102,7 +961,7 @@ func (c *Cache) NoteAbort(t *ThreadState, sigID string, autoDisableAfter uint64)
 			c.hist.SetDisabled(sigID, true)
 		}
 	}
-	c.unlockAll(t.Slot)
+	c.guard.Unlock(t.Slot)
 }
 
 // RecordOutcome applies a retrospective FP/TP verdict for an avoidance of
@@ -1113,7 +972,7 @@ func (c *Cache) RecordOutcome(sigID string, depth int, fp bool, yielderStack *st
 	if sig == nil {
 		return
 	}
-	c.lockAll(0)
+	c.guard.Lock(0)
 	if fp {
 		sig.FPCount++
 	} else {
@@ -1149,7 +1008,7 @@ func (c *Cache) RecordOutcome(sigID string, depth int, fp bool, yielderStack *st
 			c.hist.Remove(sig.ID)
 		}
 	}
-	c.unlockAll(0)
+	c.guard.Unlock(0)
 }
 
 // BindingRecord is the durable form of a Binding, kept by the monitor for
@@ -1169,8 +1028,8 @@ func (c *Cache) LastAvoided() *signature.Signature {
 // HolderOf returns the cache's view of l's owner thread ID (0 if free),
 // for diagnostics.
 func (c *Cache) HolderOf(l *LockState) int32 {
-	c.guards[l.shard].Lock(0)
-	defer c.guards[l.shard].Unlock(0)
+	c.guard.Lock(0)
+	defer c.guard.Unlock(0)
 	if l.owner == nil {
 		return 0
 	}

@@ -174,10 +174,9 @@ func (c *Cache) findInstance(t *ThreadState, l *LockState, in *stack.Interned) D
 // (thread, lock) pair from the Allowed sets.
 func (c *Cache) cover(m *sigMatcher, yIdx int, t *ThreadState, l *LockState) ([]Binding, bool) {
 	n := len(m.sig.Stacks)
-	// Recursion scratch is per-cache: cover only runs under the full
-	// decision scope, so reuse beats reallocating two maps per probe. The
-	// bindings slice is still allocated fresh — on success it escapes into
-	// the Decision.
+	// Recursion scratch is per-cache: cover only runs under the guard, so
+	// reuse beats reallocating two maps per probe. The bindings slice is
+	// still allocated fresh — on success it escapes into the Decision.
 	usedT, usedL := c.coverUsedT, c.coverUsedL
 	clear(usedT)
 	clear(usedL)
@@ -198,21 +197,19 @@ func (c *Cache) cover(m *sigMatcher, yIdx int, t *ThreadState, l *LockState) ([]
 			if ss == nil {
 				continue
 			}
-			for _, part := range ss.entries {
-				for _, e := range part {
-					if usedT[e.t] || usedL[e.l] {
-						continue
-					}
-					usedT[e.t] = true
-					usedL[e.l] = true
-					bindings = append(bindings, Binding{T: e.t, L: e.l, St: e.st, SigIdx: j})
-					if rec(j + 1) {
-						return true
-					}
-					bindings = bindings[:len(bindings)-1]
-					delete(usedT, e.t)
-					delete(usedL, e.l)
+			for _, e := range ss.entries {
+				if usedT[e.t] || usedL[e.l] {
+					continue
 				}
+				usedT[e.t] = true
+				usedL[e.l] = true
+				bindings = append(bindings, Binding{T: e.t, L: e.l, St: e.st, SigIdx: j})
+				if rec(j + 1) {
+					return true
+				}
+				bindings = bindings[:len(bindings)-1]
+				delete(usedT, e.t)
+				delete(usedL, e.l)
 			}
 		}
 		return false

@@ -6,10 +6,10 @@ import (
 	"dimmunix/internal/core"
 )
 
-// Ablation benchmarks the DESIGN.md §5 design choices: the avoidance
-// guard implementation (§5.6's Peterson filter vs sync.Mutex vs TAS
-// spin), implicit goroutine-ID thread resolution vs explicit Thread
-// handles, and dynamic calibration on/off.
+// Ablation benchmarks this implementation's own design choices: the
+// avoidance guard implementation (§5.6's Peterson filter vs sync.Mutex
+// vs TAS spin), implicit goroutine-ID thread resolution vs explicit
+// Thread handles, and dynamic calibration on/off.
 func Ablation(s Scale) Report {
 	rep := Report{
 		ID:     "ablation",

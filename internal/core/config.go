@@ -1,8 +1,9 @@
 // Package core ties Dimmunix together: the Runtime owns the history, the
 // avoidance cache, the event queue, and the monitor thread; Thread and
 // Mutex are the instrumented primitives applications use in place of raw
-// goroutine identity and sync.Mutex (which Go does not let us interpose —
-// see DESIGN.md §2 for the substitution argument).
+// goroutine identity and sync.Mutex (which Go does not let us interpose:
+// a program opts in by declaring dimmunix.Mutex where it declared
+// sync.Mutex — README "Quick start").
 package core
 
 import (
@@ -165,17 +166,6 @@ type Config struct {
 	AbortDisableThreshold uint64
 	// Guard selects the avoidance guard implementation.
 	Guard GuardKind
-	// GuardShards splits the avoidance guard into this many independently
-	// lockable shards (<= 1 keeps the single global guard). Decision
-	// operations still acquire every shard; bookkeeping operations
-	// (acquired/release) take only the lock's shard and the thread's home
-	// shard, so they stop serializing against each other. Most workloads
-	// should prefer the default: the lock-free fast path already removes
-	// safe traffic from the guard entirely, and sharding only helps when
-	// the residual guarded bookkeeping itself is contended (e.g. the
-	// data-structs ablation, or dense dangerous-stack traffic over many
-	// locks).
-	GuardShards int
 	// DisableFastPath forces every request through the guarded §5.4
 	// protocol, disabling the epoch-validated safe-stack bypass. Used for
 	// benchmark baselines and differential testing.
@@ -243,9 +233,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxThreads <= 0 {
 		c.MaxThreads = 1024
-	}
-	if c.GuardShards < 1 {
-		c.GuardShards = 1
 	}
 	if c.ThreadTTL == 0 {
 		c.ThreadTTL = DefaultThreadTTL

@@ -132,22 +132,19 @@ func (m *Mutex) MustUnlock() {
 // LockT acquires the mutex on behalf of t, running the full §5.4
 // avoidance protocol: request -> (yield)* -> go -> block -> acquired.
 func (m *Mutex) LockT(t *Thread) error {
-	return m.lockT(t, 0, false, nil)
+	return m.rt.acquire(t, m, m.ls, lockReq{})
 }
 
 // TryLockT attempts the lock without blocking. A YIELD decision counts as
 // failure (the thread may not enter the dangerous pattern), mirroring
 // pthread_mutex_trylock + the §6 cancel event.
 func (m *Mutex) TryLockT(t *Thread) (bool, error) {
-	return tryResult(m.lockT(t, 0, true, nil))
+	return tryResult(m.rt.acquire(t, m, m.ls, lockReq{try: true}))
 }
 
 // LockTimeoutT acquires with a deadline, like pthread_mutex_timedlock.
 func (m *Mutex) LockTimeoutT(t *Thread, d time.Duration) error {
-	if d <= 0 {
-		return ErrTimeout
-	}
-	return m.lockT(t, d, false, nil)
+	return m.rt.acquire(t, m, m.ls, lockReq{timeout: expiring(d)})
 }
 
 // LockCtx acquires the mutex on behalf of the calling goroutine, giving
@@ -162,217 +159,10 @@ func (m *Mutex) LockCtx(ctx context.Context) error {
 
 // LockCtxT is LockCtx on behalf of an explicit thread handle.
 func (m *Mutex) LockCtxT(t *Thread, ctx context.Context) error {
-	return withCtx(ctx, func(done <-chan struct{}) error {
-		return m.lockT(t, 0, false, done)
-	})
-}
-
-// withCtx runs acquire with ctx's done channel, translating the internal
-// errCtxDone sentinel into ctx.Err(). Shared by every *CtxT entry point.
-func withCtx(ctx context.Context, acquire func(done <-chan struct{}) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	err := acquire(ctx.Done())
-	if errors.Is(err, errCtxDone) {
-		return ctx.Err()
-	}
-	return err
-}
-
-// errWouldBlock is internal: TryLock could not acquire immediately.
-var errWouldBlock = errors.New("dimmunix: would block")
-
-// errCtxDone is internal: the caller's context fired mid-acquisition; the
-// ctx entry points translate it to ctx.Err().
-var errCtxDone = errors.New("dimmunix: context done")
-
-func (m *Mutex) lockT(t *Thread, timeout time.Duration, try bool, done <-chan struct{}) error {
-	t.pin() // the pruner must not retire t while this operation is in flight
-	defer t.unpin()
-	if t.released.Load() {
-		return ErrThreadPruned
-	}
-	// Reentrancy handling first: it never blocks, so no avoidance
-	// decision is needed (§5.1 multiset edges record it).
-	if m.owner.Load() == t {
-		switch m.kind {
-		case Recursive:
-			m.rec++
-			if m.rt.cfg.Mode != ModeOff {
-				in := t.captureStack(1)
-				if m.rt.cache.ReentrantAcquired(t.ts, m.ls, in) {
-					// Owner-only: the hold cannot be released before this
-					// call returns, so logging after the fact is safe.
-					m.rt.cache.NoteFastHold(t.ts, m.ls, in, false)
-				}
-			}
-			return nil
-		case ErrorCheck:
-			return ErrSelfDeadlock
-		default:
-			// Normal: fall through to a genuine self-deadlock on the
-			// token, exactly like PTHREAD_MUTEX_NORMAL. TryLock and
-			// LockTimeout fail cleanly below.
-		}
-	}
-
-	if m.rt.cfg.Mode == ModeOff {
-		err := m.acquireToken(t, timeout, try, nil, done)
-		if err == nil {
-			t.ts.NoteHold() // pruning-only bookkeeping; no cache involved
-		}
-		return err
-	}
-
-	// Latency sampling: 1-in-64 fast-tier operations take two timestamps
-	// (see Runtime.latFast); the other 63 pay one counter increment.
-	t.latCtr++
-	var t0 time.Time
-	if sampled := t.latCtr&63 == 0; sampled {
-		t0 = time.Now()
-	}
-
-	in, safe := t.captureClassified(1)
-
-	// Fast tier: a stack provably safe under the live history epoch skips
-	// the guarded §5.4 protocol entirely — in steady state one atomic
-	// epoch load plus a per-thread table hit, then straight to the raw
-	// lock. An uncontended acquisition costs one batched event record;
-	// only a blocking one publishes the Go wait edge first (so a
-	// brand-new deadlock through this call site is still detected).
-	if safe {
-		ok, err := m.tokenTry(t)
-		if err != nil {
-			return err
-		}
-		if ok {
-			m.rt.cache.FastAcquiredImmediate(t.ts, m.ls, in, false)
-			m.rt.cache.NoteFastHold(t.ts, m.ls, in, false)
-			if !t0.IsZero() {
-				m.rt.latFast.Record(time.Since(t0))
-			}
-			return nil
-		}
-		if try {
-			m.rt.cache.FastTryFailed()
-			return errWouldBlock
-		}
-		m.rt.cache.FastBlocking(t.ts, m.ls, in)
-		if err := m.acquireToken(t, timeout, false, nil, done); err != nil {
-			m.rt.cache.FastCancel(t.ts, m.ls)
-			return err
-		}
-		m.rt.cache.FastAcquired(t.ts, m.ls, in, false)
-		m.rt.cache.NoteFastHold(t.ts, m.ls, in, false)
-		if !t0.IsZero() {
-			m.rt.latFast.Record(time.Since(t0))
-		}
-		return nil
-	}
-
-	// Guarded tier: always record latency — the §5.4 protocol is already
-	// a slow path, so two timestamps disappear in the noise.
-	if t0.IsZero() {
-		t0 = time.Now()
-	}
-
-	var deadline <-chan time.Time
-	var deadlineTimer *time.Timer
-	if timeout > 0 {
-		deadlineTimer = time.NewTimer(timeout)
-		deadline = deadlineTimer.C
-		defer deadlineTimer.Stop()
-	}
-
-	if err := m.rt.requestLoop(t, m.ls, in, try, deadline, done); err != nil {
-		return err
-	}
-
-	// GO: the allow edge is committed; block on the real lock.
-	if err := m.acquireToken(t, timeout, try, deadline, done); err != nil {
-		m.rt.cache.Cancel(t.ts, m.ls)
-		return err
-	}
-	m.rt.cache.Acquired(t.ts, m.ls)
-	m.rt.latGuarded.Record(time.Since(t0))
-	return nil
-}
-
-// requestLoop runs the §5.4 request -> (yield)* -> go protocol for thread
-// t on lock ls with call stack in, shared by Mutex and RWMutex. On a nil
-// return the allow edge is committed and the caller must follow up with
-// Acquired/AcquiredShared (or Cancel if the raw block fails). Every
-// failure return has already rolled the request back with a Cancel.
-func (rt *Runtime) requestLoop(t *Thread, ls *lockStateRef, in *stackInterned, try bool, deadline <-chan time.Time, done <-chan struct{}) error {
-	// yieldStart times the yield episode (first YIELD decision until the
-	// loop exits, however it exits) for Stats().Latency.Yield. Recorded
-	// inline at each exit rather than via a deferred closure so the
-	// no-yield guarded path stays allocation-free.
-	var yieldStart time.Time
-	for {
-		dec := rt.cache.Request(t.ts, ls, in)
-		if dec.Go {
-			if !yieldStart.IsZero() {
-				rt.latYield.Record(time.Since(yieldStart))
-			}
-			return nil
-		}
-		if try {
-			rt.cache.Cancel(t.ts, ls)
-			if !yieldStart.IsZero() {
-				rt.latYield.Record(time.Since(yieldStart))
-			}
-			return errWouldBlock
-		}
-		if yieldStart.IsZero() {
-			yieldStart = time.Now()
-		}
-		// YIELD: wait until a cause binding may have broken, bounded by
-		// the max-yield duration (§5.7) and the caller's deadline.
-		var maxYield <-chan time.Time
-		var yieldTimer *time.Timer
-		if rt.cfg.MaxYield > 0 {
-			yieldTimer = time.NewTimer(rt.cfg.MaxYield)
-			maxYield = yieldTimer.C
-		}
-		select {
-		case <-t.ts.Wake:
-		case <-maxYield:
-			rt.cache.NoteAbort(t.ts, dec.Sig.ID, rt.cfg.AbortDisableThreshold)
-		case <-deadline:
-			if yieldTimer != nil {
-				yieldTimer.Stop()
-			}
-			rt.cache.Cancel(t.ts, ls)
-			if !yieldStart.IsZero() {
-				rt.latYield.Record(time.Since(yieldStart))
-			}
-			return ErrTimeout
-		case <-done:
-			if yieldTimer != nil {
-				yieldTimer.Stop()
-			}
-			rt.cache.Cancel(t.ts, ls)
-			if !yieldStart.IsZero() {
-				rt.latYield.Record(time.Since(yieldStart))
-			}
-			return errCtxDone
-		case <-t.abortChan():
-			if yieldTimer != nil {
-				yieldTimer.Stop()
-			}
-			t.consumeAbort()
-			rt.cache.Cancel(t.ts, ls)
-			if !yieldStart.IsZero() {
-				rt.latYield.Record(time.Since(yieldStart))
-			}
-			return ErrDeadlockRecovered
-		}
-		if yieldTimer != nil {
-			yieldTimer.Stop()
-		}
-	}
+	return ctxErr(ctx, m.rt.acquire(t, m, m.ls, lockReq{done: ctx.Done()}))
 }
 
 // Retire marks the mutex as superseded, succeeding only if it can
@@ -392,13 +182,53 @@ func (m *Mutex) Retire() bool {
 	return true
 }
 
-// tokenTry grabs the token without blocking (the uncontended path).
-func (m *Mutex) tokenTry(t *Thread) (bool, error) {
+// reenter implements rawLock: a Recursive mutex counts the relock, an
+// ErrorCheck one refuses it, and a Normal one reports nothing — its owner
+// goes on to a genuine self-deadlock on the token, exactly like
+// PTHREAD_MUTEX_NORMAL (TryLock and LockTimeout fail cleanly there).
+func (m *Mutex) reenter(t *Thread, _ bool) (bool, error) {
+	if m.owner.Load() != t {
+		return false, nil
+	}
+	switch m.kind {
+	case Recursive:
+		m.rec++
+		return true, nil
+	case ErrorCheck:
+		return false, ErrSelfDeadlock
+	}
+	return false, nil
+}
+
+// tryGrant implements rawLock: grab the token without blocking.
+func (m *Mutex) tryGrant(t *Thread, _ bool) (bool, error) {
 	select {
 	case <-m.token:
+		return m.own(t)
 	default:
 		return false, nil
 	}
+}
+
+// waitGrant implements rawLock: block on the token.
+func (m *Mutex) waitGrant(t *Thread, _ bool, deadline <-chan time.Time, done <-chan struct{}) error {
+	select {
+	case <-m.token:
+		_, err := m.own(t)
+		return err
+	case <-deadline:
+		return ErrTimeout
+	case <-done:
+		return errCtxDone
+	case <-t.abortChan():
+		t.consumeAbort()
+		return ErrDeadlockRecovered
+	}
+}
+
+// own completes a grant under token ownership, bouncing the token back
+// if the mutex was retired meanwhile.
+func (m *Mutex) own(t *Thread) (bool, error) {
 	if m.retired.Load() {
 		m.token <- struct{}{}
 		return false, ErrMutexRetired
@@ -408,40 +238,12 @@ func (m *Mutex) tokenTry(t *Thread) (bool, error) {
 	return true, nil
 }
 
-// acquireToken performs the raw blocking acquisition.
-func (m *Mutex) acquireToken(t *Thread, timeout time.Duration, try bool, deadline <-chan time.Time, done <-chan struct{}) error {
-	if try {
-		ok, err := m.tokenTry(t)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return errWouldBlock
-		}
-		return nil
-	}
-	if timeout > 0 && deadline == nil {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	select {
-	case <-m.token:
-	case <-deadline:
-		return ErrTimeout
-	case <-done:
-		return errCtxDone
-	case <-t.abortChan():
-		t.consumeAbort()
-		return ErrDeadlockRecovered
-	}
-	if m.retired.Load() {
-		m.token <- struct{}{}
-		return ErrMutexRetired
-	}
-	m.owner.Store(t)
-	m.rec = 1
-	return nil
+// noteFastHold implements rawLock. The mutex is owner-only (only
+// UnlockT/UnlockHandoff by the holder releases it), so the hold cannot be
+// released before the acquisition returns and logging after the fact is
+// safe.
+func (m *Mutex) noteFastHold(t *Thread, in *stackInterned, _ bool) {
+	m.rt.cache.NoteFastHold(t.ts, m.ls, in, false)
 }
 
 // UnlockT releases the mutex on behalf of t. The release event is

@@ -55,6 +55,12 @@ type Runtime struct {
 	stats    *avoidance.Stats
 	trace    *trace.Recorder // nil unless Config.TracePath armed trace mode
 
+	// wrapDepth is the deepest ladder of Dimmunix's own frames observed
+	// between an application lock call site and the capture (see
+	// Thread.internPCs, which folds every stack it resolves into it). The
+	// capture bounds are derived from it instead of a guessed slack.
+	wrapDepth atomic.Int32
+
 	// bus is the observability dispatcher (typed events, bounded,
 	// non-blocking); see Subscribe and Config.Observers.
 	bus *obs.Bus
@@ -245,21 +251,16 @@ func New(cfg Config) (*Runtime, error) {
 	// reads like HistorySummary, serialized by adminMu). The filter
 	// guard needs a seat for each.
 	syncSlot := cfg.MaxThreads + 1
-	newGuard := func() peterson.Guard {
-		switch cfg.Guard {
-		case GuardSpin:
-			return peterson.NewSpin()
-		case GuardFilter:
-			return peterson.NewFilter(cfg.MaxThreads + 3)
-		default:
-			return peterson.NewMutex()
-		}
+	var guard peterson.Guard // nil selects sync.Mutex
+	switch cfg.Guard {
+	case GuardSpin:
+		guard = peterson.NewSpin()
+	case GuardFilter:
+		guard = peterson.NewFilter(cfg.MaxThreads + 3)
 	}
 
 	rt.cache = avoidance.NewCache(avoidance.Config{
-		Guard:           newGuard(),
-		NewGuard:        newGuard,
-		GuardShards:     cfg.GuardShards,
+		Guard:           guard,
 		DisableFastPath: cfg.DisableFastPath,
 		Mode:            cfg.avoidanceMode(),
 		IgnoreDecisions: cfg.IgnoreDecisions,

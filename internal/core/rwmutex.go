@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 )
@@ -152,178 +151,72 @@ func (rw *RWMutex) RLockCtx(ctx context.Context) error {
 
 // LockT write-locks on behalf of t, running the full avoidance protocol.
 func (rw *RWMutex) LockT(t *Thread) error {
-	return rw.lockRW(t, 0, false, nil, false)
+	return rw.rt.acquire(t, rw, rw.ls, lockReq{})
 }
 
 // RLockT read-locks on behalf of t. The request participates in the
 // avoidance protocol; the resulting hold is shared.
 func (rw *RWMutex) RLockT(t *Thread) error {
-	return rw.lockRW(t, 0, false, nil, true)
+	return rw.rt.acquire(t, rw, rw.ls, lockReq{shared: true})
 }
 
 // TryLockT attempts the write lock without blocking; a YIELD decision
 // counts as failure, as with Mutex.TryLockT.
 func (rw *RWMutex) TryLockT(t *Thread) (bool, error) {
-	return tryResult(rw.lockRW(t, 0, true, nil, false))
+	return tryResult(rw.rt.acquire(t, rw, rw.ls, lockReq{try: true}))
 }
 
 // TryRLockT attempts a read lock without blocking.
 func (rw *RWMutex) TryRLockT(t *Thread) (bool, error) {
-	return tryResult(rw.lockRW(t, 0, true, nil, true))
+	return tryResult(rw.rt.acquire(t, rw, rw.ls, lockReq{shared: true, try: true}))
 }
 
 // LockTimeoutT write-locks with a deadline.
 func (rw *RWMutex) LockTimeoutT(t *Thread, d time.Duration) error {
-	if d <= 0 {
-		return ErrTimeout
-	}
-	return rw.lockRW(t, d, false, nil, false)
+	return rw.rt.acquire(t, rw, rw.ls, lockReq{timeout: expiring(d)})
 }
 
 // RLockTimeoutT read-locks with a deadline.
 func (rw *RWMutex) RLockTimeoutT(t *Thread, d time.Duration) error {
-	if d <= 0 {
-		return ErrTimeout
-	}
-	return rw.lockRW(t, d, false, nil, true)
+	return rw.rt.acquire(t, rw, rw.ls, lockReq{shared: true, timeout: expiring(d)})
 }
 
 // LockCtxT is LockCtx on behalf of an explicit thread handle.
 func (rw *RWMutex) LockCtxT(t *Thread, ctx context.Context) error {
-	return withCtx(ctx, func(done <-chan struct{}) error {
-		return rw.lockRW(t, 0, false, done, false)
-	})
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return ctxErr(ctx, rw.rt.acquire(t, rw, rw.ls, lockReq{done: ctx.Done()}))
 }
 
 // RLockCtxT is RLockCtx on behalf of an explicit thread handle.
 func (rw *RWMutex) RLockCtxT(t *Thread, ctx context.Context) error {
-	return withCtx(ctx, func(done <-chan struct{}) error {
-		return rw.lockRW(t, 0, false, done, true)
-	})
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return ctxErr(ctx, rw.rt.acquire(t, rw, rw.ls, lockReq{shared: true, done: ctx.Done()}))
 }
 
-func tryResult(err error) (bool, error) {
-	if err == nil {
-		return true, nil
-	}
-	if errors.Is(err, errWouldBlock) {
+// reenter implements rawLock. Recursive read acquisition never blocks
+// (the shared hold is already granted to this thread), so like Mutex
+// reentrancy it needs no avoidance decision — and granting it even while
+// a writer waits removes sync.RWMutex's recursive-RLock deadlock. A write
+// relock is a genuine self-deadlock, as with sync.RWMutex.
+func (rw *RWMutex) reenter(t *Thread, shared bool) (bool, error) {
+	if !shared {
 		return false, nil
 	}
-	return false, err
+	rw.mu.Lock()
+	defer rw.mu.Unlock()
+	h := rw.readers[t.ts.ID]
+	if h == nil {
+		return false, nil
+	}
+	h.n++
+	return true, nil
 }
 
-func (rw *RWMutex) lockRW(t *Thread, timeout time.Duration, try bool, done <-chan struct{}, read bool) error {
-	t.pin() // the pruner must not retire t while this operation is in flight
-	defer t.unpin()
-	if t.released.Load() {
-		return ErrThreadPruned
-	}
-	if read {
-		// Recursive read acquisition never blocks (the shared hold is
-		// already granted to this thread), so like Mutex reentrancy it
-		// needs no avoidance decision — and granting it even while a
-		// writer waits removes sync.RWMutex's recursive-RLock deadlock.
-		rw.mu.Lock()
-		if h := rw.readers[t.ts.ID]; h != nil {
-			h.n++
-			rw.mu.Unlock()
-			if rw.rt.cfg.Mode != ModeOff {
-				in := t.captureStack(1)
-				if rw.rt.cache.ReentrantAcquired(t.ts, rw.ls, in) {
-					rw.noteFastHold(t, in, true)
-				}
-			}
-			return nil
-		}
-		rw.mu.Unlock()
-	}
-
-	var deadline <-chan time.Time
-	var deadlineTimer *time.Timer
-	if timeout > 0 {
-		deadlineTimer = time.NewTimer(timeout)
-		deadline = deadlineTimer.C
-		defer deadlineTimer.Stop()
-	}
-
-	if rw.rt.cfg.Mode == ModeOff {
-		err := rw.acquire(t, try, deadline, done, read)
-		if err == nil {
-			t.ts.NoteHold() // pruning-only bookkeeping; no cache involved
-		}
-		return err
-	}
-
-	// Latency sampling mirrors Mutex.lockT: 1-in-64 on the fast tier,
-	// every observation on the guarded tier.
-	t.latCtr++
-	var t0 time.Time
-	if sampled := t.latCtr&63 == 0; sampled {
-		t0 = time.Now()
-	}
-
-	in, safe := t.captureClassified(1)
-
-	// Fast tier: a provably safe stack skips the guarded protocol (see
-	// Mutex.lockT); the hold enters the thread's fast-hold log so its
-	// release pairs with FastRelease and epoch reconciliation can adopt
-	// it. An immediate grant costs one buffered event; a blocking one
-	// publishes its Go wait edge first.
-	if safe {
-		switch err := rw.acquire(t, true, nil, nil, read); {
-		case err == nil:
-			rw.rt.cache.FastAcquiredImmediate(t.ts, rw.ls, in, read)
-			rw.noteFastHold(t, in, read)
-			if !t0.IsZero() {
-				rw.rt.latFast.Record(time.Since(t0))
-			}
-			return nil
-		case !errors.Is(err, errWouldBlock):
-			// ErrMutexRetired: propagate so the caller re-resolves.
-			return err
-		}
-		if try {
-			rw.rt.cache.FastTryFailed()
-			return errWouldBlock
-		}
-		rw.rt.cache.FastBlocking(t.ts, rw.ls, in)
-		if err := rw.acquire(t, false, deadline, done, read); err != nil {
-			rw.rt.cache.FastCancel(t.ts, rw.ls)
-			return err
-		}
-		rw.rt.cache.FastAcquired(t.ts, rw.ls, in, read)
-		rw.noteFastHold(t, in, read)
-		if !t0.IsZero() {
-			rw.rt.latFast.Record(time.Since(t0))
-		}
-		return nil
-	}
-
-	if t0.IsZero() {
-		t0 = time.Now()
-	}
-
-	if err := rw.rt.requestLoop(t, rw.ls, in, try, deadline, done); err != nil {
-		return err
-	}
-
-	// GO: the allow edge is committed; block on the real lock.
-	if err := rw.acquire(t, try, deadline, done, read); err != nil {
-		rw.rt.cache.Cancel(t.ts, rw.ls)
-		return err
-	}
-	if read {
-		rw.rt.cache.AcquiredShared(t.ts, rw.ls)
-	} else {
-		rw.rt.cache.Acquired(t.ts, rw.ls)
-	}
-	rw.rt.latGuarded.Record(time.Since(t0))
-	return nil
-}
-
-// noteFastHold records a freshly granted fast-tier hold in the thread's
-// fast-hold log so its release routes through FastRelease and epoch
-// reconciliation can adopt it. For reads the reader-table entry is
+// noteFastHold implements rawLock. For reads the reader-table entry is
 // re-checked under rw.mu: if the hold was already handed off and fully
 // released (sync.RWMutex's cross-goroutine discipline), the guarded
 // Release that retired it was a tolerated no-op and logging the hold now
@@ -342,28 +235,36 @@ func (rw *RWMutex) noteFastHold(t *Thread, in *stackInterned, read bool) {
 	rw.mu.Unlock()
 }
 
-// acquire performs the raw blocking acquisition against the gate.
-func (rw *RWMutex) acquire(t *Thread, try bool, deadline <-chan time.Time, done <-chan struct{}, read bool) error {
+// tryGrant implements rawLock: one grant attempt against the current
+// state.
+func (rw *RWMutex) tryGrant(t *Thread, shared bool) (bool, error) {
 	rw.mu.Lock()
+	defer rw.mu.Unlock()
 	if rw.retired {
-		rw.mu.Unlock()
-		return ErrMutexRetired
+		return false, ErrMutexRetired
 	}
-	if rw.grantLocked(t, read) {
-		rw.mu.Unlock()
-		return nil
-	}
-	if try {
-		rw.mu.Unlock()
-		return errWouldBlock
-	}
-	if !read {
+	return rw.grantLocked(t, shared), nil
+}
+
+// waitGrant implements rawLock: queue on the gate until a grant attempt
+// succeeds. A queued writer holds new first-acquisition readers back.
+func (rw *RWMutex) waitGrant(t *Thread, shared bool, deadline <-chan time.Time, done <-chan struct{}) error {
+	rw.mu.Lock()
+	defer rw.mu.Unlock()
+	if !shared {
 		rw.wwait++
 	}
-	for {
+	var err error
+	for err == nil {
+		if rw.retired {
+			err = ErrMutexRetired
+			break
+		}
+		if rw.grantLocked(t, shared) {
+			break
+		}
 		gate := rw.gateLocked()
 		rw.mu.Unlock()
-		var err error
 		select {
 		case <-gate:
 		case <-deadline:
@@ -375,28 +276,15 @@ func (rw *RWMutex) acquire(t *Thread, try bool, deadline <-chan time.Time, done 
 			err = ErrDeadlockRecovered
 		}
 		rw.mu.Lock()
-		if err == nil && rw.retired {
-			err = ErrMutexRetired
-		}
-		if err != nil {
-			if !read {
-				rw.wwait--
-				if rw.wwait == 0 {
-					// Readers queued behind this writer may go now.
-					rw.broadcastLocked()
-				}
-			}
-			rw.mu.Unlock()
-			return err
-		}
-		if rw.grantLocked(t, read) {
-			if !read {
-				rw.wwait--
-			}
-			rw.mu.Unlock()
-			return nil
+	}
+	if !shared {
+		rw.wwait--
+		if err != nil && rw.wwait == 0 {
+			// Readers queued behind this writer may go now.
+			rw.broadcastLocked()
 		}
 	}
+	return err
 }
 
 // grantLocked attempts the state transition; rw.mu held.

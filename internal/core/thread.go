@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,15 +50,17 @@ const (
 //
 // When truncated is set the key (pcs[:n]) is a depth-bounded capture: it
 // covers only the innermost frames the danger index needs for a sound
-// verdict (DangerIndex.ShallowDepth plus matching/strip slack), and in
-// holds the full stack captured at miss time — a representative of the
-// call paths sharing that shallow prefix. The classification verdict is
-// identical for every such path (it depends only on frames the key
-// covers), but the representative's outer frames may differ from the
-// live path's, so truncated entries are never allowed to feed the
-// guarded tier: a dangerous verdict escalates to a fresh full capture,
-// and an epoch move discards the entry (the new index may need deeper
-// frames than the key covers).
+// verdict (max(DangerIndex.ShallowDepth, MatchDepth) application frames
+// below Runtime.wrapDepth wrapper frames — an entry is only ever stored
+// once its key is known to cover that many), and in holds the full stack
+// captured at miss time — a representative of the call paths sharing that
+// shallow prefix. The classification verdict is identical for every such
+// path (it depends only on frames the key covers), but the
+// representative's outer frames may differ from the live path's, so
+// truncated entries are never allowed to feed the guarded tier: a
+// dangerous verdict escalates to a fresh full capture, and an epoch move
+// discards the entry (the new index may need deeper frames than the key
+// covers).
 type classEntry struct {
 	in        *stack.Interned // nil marks an empty slot
 	epoch     uint64          // danger-index epoch the verdict was computed at
@@ -142,13 +145,19 @@ func (t *Thread) consumeAbort() {
 // of physical frames: the frame-pointer walker skips physical frames,
 // and inlining any function in the chain would make its physical count
 // diverge from runtime.Callers' logical count. Frames above the chain
-// (lockT, rlockT) are skipped too, but an under-skip there is harmless —
-// internPCs strips Dimmunix frames after symbolization — and the fp
-// build's verification phase runs through these exact chains.
+// (Runtime.acquire and the entry point that called it) need no exact
+// skip: internPCs strips Dimmunix frames after symbolization and the
+// capture bounds allow for however many of them it has observed.
 //
 //go:noinline
 func capturePCs(extraSkip int, buf []uintptr) int {
 	return stack.CapturePCs(extraSkip+2, buf)
+}
+
+// fullBound is the raw-PC bound of a full capture: StackDepth application
+// frames below wrap Dimmunix frames.
+func (rt *Runtime) fullBound(wrap int) int {
+	return min(rt.cfg.StackDepth+wrap, stack.MaxCaptureDepth)
 }
 
 // captureStack records the caller's call stack with Dimmunix's own frames
@@ -162,39 +171,59 @@ func capturePCs(extraSkip int, buf []uintptr) int {
 //
 //go:noinline
 func (t *Thread) captureStack(extraSkip int) *stack.Interned {
-	max := t.rt.cfg.StackDepth + 4
-	if max > stack.MaxCaptureDepth {
-		max = stack.MaxCaptureDepth
-	}
 	var pcbuf [stack.MaxCaptureDepth + 2]uintptr
-	n := capturePCs(extraSkip, pcbuf[:max])
-	return t.internPCs(pcbuf[:n], max)
+	for {
+		bound := t.rt.fullBound(int(t.rt.wrapDepth.Load()))
+		n := capturePCs(extraSkip, pcbuf[:bound])
+		if in := t.internPCs(pcbuf[:n], bound); in != nil {
+			return in
+		}
+		// The walk was cut at a bound that undercounted this entry
+		// point's wrapper ladder; internPCs raised it, so walk again.
+	}
 }
 
-// internPCs maps a raw PC stack to its interned frame stack: pcCache hit,
-// or the full symbolize/strip/truncate/intern pipeline (memoized into the
-// pcCache when the fast tier is on).
-func (t *Thread) internPCs(pcs []uintptr, max int) *stack.Interned {
-	if t.rt.pcCache != nil {
-		if in, ok := t.rt.pcCache.Get(pcs); ok {
+// internPCs maps a raw PC stack captured under bound to its interned
+// frame stack: pcCache hit, or the full symbolize/strip/truncate/intern
+// pipeline (memoized into the pcCache when the fast tier is on).
+// Stripping is where a stack's wrapper depth — the number of Dimmunix
+// frames above the application's call site — is observed; it is folded
+// into Runtime.wrapDepth here, before the stack can enter the pcCache, so
+// the recorded depth is never below that of any stack a capture can
+// return. When the walk filled a bound that left the application fewer
+// than StackDepth frames, outer frames may have been cut off: internPCs
+// then returns nil and the caller captures again under the raised bound.
+func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
+	rt := t.rt
+	if rt.pcCache != nil {
+		if in, ok := rt.pcCache.Get(pcs); ok {
 			return in
 		}
 	}
-	raw := stack.ResolvePCs(pcs, max)
+	raw := stack.ResolvePCs(pcs, bound)
 	i := 0
 	for i < len(raw) && isRuntimeFrame(raw[i]) {
 		i++
 	}
+	if i == len(raw) {
+		i = 0 // no application frame in sight: keep the stack whole
+	}
+	for {
+		w := rt.wrapDepth.Load()
+		if int(w) >= i || rt.wrapDepth.CompareAndSwap(w, int32(i)) {
+			break
+		}
+	}
+	if len(pcs) == bound && bound < stack.MaxCaptureDepth && bound-i < rt.cfg.StackDepth {
+		return nil
+	}
 	s := raw[i:]
-	if len(s) > t.rt.cfg.StackDepth {
-		s = s[:t.rt.cfg.StackDepth]
+	if len(s) > rt.cfg.StackDepth {
+		s = s[:rt.cfg.StackDepth]
 	}
-	if len(s) == 0 {
-		s = raw
-	}
-	in := t.rt.interner.Intern(s.Clone())
-	if t.rt.pcCache != nil {
-		t.rt.pcCache.Put(pcs, in)
+	in := rt.interner.Intern(s.Clone())
+	if rt.pcCache != nil {
+		rt.pcCache.Put(pcs, in)
 	}
 	return in
 }
@@ -206,18 +235,21 @@ func (t *Thread) internPCs(pcs []uintptr, max int) *stack.Interned {
 // Steady state is a depth-bounded capture: the danger index publishes
 // (with its epoch) the minimum number of innermost frames that yields
 // the same Dangerous verdict as a full walk (DangerIndex.ShallowDepth),
-// and the hot path walks only that many PCs — plus MatchDepth (so a
-// newly archived signature's matching window stays covered by the key)
-// and strip slack — instead of the full StackDepth+4 frames. On a
-// raw-PC hit whose cached verdict is current (danger-index epoch
-// matches) and safe, no map shard, no interner, and no allocation is
-// touched at all. Escalation back to the full 32-frame walk happens
-// exactly when the shallow capture cannot stand on its own:
+// and the hot path walks only that many application frames — or
+// MatchDepth, if larger, so a newly archived signature's matching window
+// stays covered by the key — below the wrapper ladder, instead of the
+// full StackDepth. On a raw-PC hit whose cached verdict is current
+// (danger-index epoch matches) and safe, no map shard, no interner, and
+// no allocation is touched at all. Escalation back to the full walk
+// happens exactly when the shallow capture cannot stand on its own:
 //
 //   - a published ShallowDepth of 0 (calibration-live or depth<=0
 //     signatures): the conservative envelope, full capture as before;
 //   - a cache miss: the full stack is needed to intern for archiving
-//     and event bookkeeping (the shallow key then caches it);
+//     and event bookkeeping (the shallow key then caches it — unless the
+//     full stack's wrapper ladder turned out deeper than the bound
+//     allowed for, in which case the key may cover too few application
+//     frames and nothing is cached under it);
 //   - a dangerous verdict on a truncated key: the guarded tier's §5.4
 //     matching and archival need the exact deep frames, which a
 //     truncated key cannot vouch for (see classEntry);
@@ -237,47 +269,25 @@ func (t *Thread) internPCs(pcs []uintptr, max int) *stack.Interned {
 //
 //go:noinline
 func (t *Thread) captureClassified(extraSkip int) (*stack.Interned, bool) {
-	cache := t.rt.cache
-	if t.rt.pcCache == nil || !cache.FastOK() {
+	rt, cache := t.rt, t.rt.cache
+	if rt.pcCache == nil || !cache.FastOK() {
 		return t.captureStack(extraSkip + 1), false
 	}
-	max := t.rt.cfg.StackDepth + 4
-	if max > stack.MaxCaptureDepth {
-		max = stack.MaxCaptureDepth
-	}
 	ep, shallow := cache.DangerView()
-	bound := max
+	wrap := rt.wrapDepth.Load()
+	full := rt.fullBound(int(wrap))
+	bound := full
 	if shallow > 0 {
-		bound = shallow
-		if m := t.rt.cfg.MatchDepth; m > bound {
-			bound = m
-		}
-		bound += 4 // slack for Dimmunix frames stripped after symbolization
-		if bound > max {
-			bound = max
-		}
+		bound = min(max(shallow, rt.cfg.MatchDepth)+int(wrap), full)
 	}
 	var pcbuf [stack.MaxCaptureDepth + 2]uintptr
 	n := capturePCs(extraSkip, pcbuf[:bound])
 	pcs := pcbuf[:n]
-	truncated := n == bound && bound < max
-	if n > classPCs {
-		// Too deep for a slot (only reachable with a full bound, so the
-		// capture is exact): classify through the marker cache only.
-		in := t.internPCs(pcs, max)
-		return in, cache.ClassifySafe(in)
-	}
-	h := stack.HashPCs(pcs)
-	e := &t.cls[h%classSlots]
-	if e.in != nil && int(e.n) == n {
-		same := true
-		for i := 0; i < n; i++ {
-			if e.pcs[i] != pcs[i] {
-				same = false
-				break
-			}
-		}
-		if same {
+	truncated := n == bound && bound < full
+	var e *classEntry // nil: too deep for a slot, classify uncached
+	if n <= classPCs {
+		e = &t.cls[stack.HashPCs(pcs)%classSlots]
+		if e.in != nil && slices.Equal(e.pcs[:e.n], pcs) {
 			stale := e.epoch != ep
 			if stale && !e.truncated {
 				// Complete capture: the cached stack is exact, so the
@@ -297,43 +307,61 @@ func (t *Thread) captureClassified(extraSkip int) (*stack.Interned, bool) {
 		}
 	}
 	var in *stack.Interned
-	if truncated {
-		// The shallow walk stopped at the bound, so the full stack must
-		// be recaptured for archiving and event bookkeeping; the shallow
+	if !truncated {
+		in = t.internPCs(pcs, full)
+	}
+	if in == nil {
+		// The walk stopped at its bound, so the full stack must be
+		// recaptured for archiving and event bookkeeping; the shallow
 		// PCs stay as the cache key.
 		in = t.captureStack(extraSkip + 1)
-	} else {
-		in = t.internPCs(pcs, max)
 	}
 	safe := cache.ClassifySafe(in)
-	e.in = in
-	e.epoch = ep
-	e.n = uint8(n)
-	e.truncated = truncated
-	e.dangerous = !safe
-	copy(e.pcs[:], pcs)
+	// in's own wrapper depth is folded into wrapDepth by now. Unchanged
+	// means the bound allowed for it, so the key covers every application
+	// frame the verdict depends on; otherwise the next call recaptures
+	// under the deeper bound.
+	if e != nil && rt.wrapDepth.Load() == wrap {
+		e.in = in
+		e.epoch = ep
+		e.n = uint8(n)
+		e.truncated = truncated
+		e.dangerous = !safe
+		copy(e.pcs[:], pcs)
+	}
 	return in, safe
 }
 
-// isRuntimeFrame identifies Dimmunix's own lock-path frames (and only
-// those: in-package callers such as this package's tests must survive, so
-// the file name is checked too). Frames of the public facade package
-// (top-level "dimmunix", no slash in the qualified name) are stripped as
-// well, so the innermost frame of a captured stack is always the
-// application's lock call site regardless of which API layer it used.
+// isRuntimeFrame identifies Dimmunix's own frames: every function of this
+// package and of the public facade package (top-level "dimmunix") that is
+// not defined in a _test.go file — in-package callers such as these
+// packages' tests must survive as the application. Keyed on the package
+// rather than on a list of files or functions, so the lock path can be
+// restructured without a new wrapper silently becoming every lock's
+// "call site". Leading such frames are stripped from every capture, so
+// the innermost frame of a captured stack is always the application's
+// lock call site regardless of which API layer it used.
 func isRuntimeFrame(f stack.Frame) bool {
-	if strings.HasPrefix(f.Func, "dimmunix/internal/core.") {
-		switch f.File {
-		case "mutex.go", "rwmutex.go", "cond.go", "thread.go", "runtime.go", "config.go", "alias.go":
-			return true
-		}
+	if strings.HasSuffix(f.File, "_test.go") {
 		return false
 	}
-	if strings.HasPrefix(f.Func, "dimmunix.") && !strings.Contains(f.Func, "/") {
-		switch f.File {
-		case "mutex.go", "rwmutex.go", "cond.go", "default.go", "options.go", "dimmunix.go":
-			return true
-		}
+	pkg := funcPackage(f.Func)
+	return pkg == "dimmunix/internal/core" || pkg == "dimmunix"
+}
+
+// funcPackage returns the import path of the package a fully qualified
+// function name (runtime.Frame.Function) belongs to: everything before
+// the first dot that follows the path's last slash. Receiver and
+// type-argument decorations — which may themselves contain slashes and
+// dots — come after that dot, so they are cut off first.
+func funcPackage(fn string) string {
+	path := fn
+	if i := strings.IndexAny(path, "(["); i >= 0 {
+		path = path[:i]
 	}
-	return false
+	slash := strings.LastIndexByte(path, '/')
+	if dot := strings.IndexByte(path[slash+1:], '.'); dot >= 0 {
+		return path[:slash+1+dot]
+	}
+	return path
 }

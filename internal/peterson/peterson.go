@@ -2,7 +2,8 @@
 // exclusion algorithm (the "filter lock") that §5.6 of the paper uses to
 // guard the shared Allowed sets without OS locks, plus a test-and-set spin
 // lock and a Guard abstraction so the avoidance code can swap guards
-// (the DESIGN.md §5.1 ablation).
+// (WithGuard in the README's "Options"; internal/bench.Ablation compares
+// them).
 package peterson
 
 import (

@@ -31,41 +31,52 @@ import (
 //
 // A Mutex must not be copied after first use.
 type Mutex struct {
-	b atomic.Pointer[mutexBinding]
+	b binder[*core.Mutex]
 }
 
-// mutexBinding pairs the instrumented mutex with the default-runtime
-// generation it bound under; a stale generation triggers a rebind.
-type mutexBinding struct {
-	c   *core.Mutex
+// binder is the generation-aware slot behind every drop-in lock: it
+// holds the instrumented core lock together with the default-runtime
+// generation it was bound under, binds on first use, and rebinds after a
+// Shutdown→Init transition once the old lock is observed free. L is
+// *core.Mutex or *core.RWMutex.
+type binder[L interface{ Retire() bool }] struct {
+	p atomic.Pointer[binding[L]]
+}
+
+type binding[L any] struct {
+	c   L
 	gen uint64
 }
 
-// core returns the bound instrumented mutex, binding to the default
-// Runtime on first use and rebinding after a Shutdown→Init transition
-// (when the old binding's runtime was replaced and the mutex is free).
-func (m *Mutex) core() *core.Mutex {
-	b := m.b.Load()
-	if b != nil && b.gen == generation() {
-		return b.c
+// bound returns the lock of the binding in place, if there is one — the
+// unlock paths, which always go through the binding that granted the
+// lock even when a Shutdown has made it stale.
+func (b *binder[L]) bound() (L, bool) {
+	if cur := b.p.Load(); cur != nil {
+		return cur.c, true
 	}
-	return m.rebind(b)
+	var none L
+	return none, false
 }
 
-func (m *Mutex) rebind(old *mutexBinding) *core.Mutex {
+// core returns the bound instrumented lock, binding to the default
+// Runtime on first use and rebinding (to a lock made by newLock) when the
+// binding's runtime was replaced and the lock is free.
+func (b *binder[L]) core(newLock func(*Runtime) L) L {
+	old := b.p.Load()
 	for {
 		if old != nil {
 			if old.gen == generation() {
-				// A racing rebind (or Init) already refreshed it.
+				// Current (or a racing rebind or Init already refreshed it).
 				return old.c
 			}
 			if !old.c.Retire() {
 				// Still held, or an acquisition is in flight, through
 				// the previous runtime: the holder must unlock what it
 				// locked. Keep the old binding; a later operation
-				// rebinds once the mutex is observed free. (Retirement
-				// is atomic with token ownership, so a straggler that
-				// wins the token after we retire bounces with
+				// rebinds once the lock is observed free. (Retirement
+				// is atomic with granting, so a straggler that is
+				// granted the lock after we retire bounces with
 				// ErrMutexRetired and re-resolves.)
 				return old.c
 			}
@@ -75,43 +86,44 @@ func (m *Mutex) rebind(old *mutexBinding) *core.Mutex {
 		// stamped stale at birth.
 		gen := generation()
 		rt := Default()
-		if generation() != gen {
-			old = m.b.Load()
-			continue
+		if generation() == gen {
+			nb := &binding[L]{c: newLock(rt), gen: gen}
+			if b.p.CompareAndSwap(old, nb) {
+				return nb.c
+			}
 		}
-		nb := &mutexBinding{c: rt.NewMutex(), gen: gen}
-		if m.b.CompareAndSwap(old, nb) {
-			return nb.c
-		}
-		old = m.b.Load()
+		old = b.p.Load()
 	}
 }
 
-// Core exposes the underlying explicit-runtime mutex (binding it first
-// if needed), for interop with the Thread fast path and Cond.
-func (m *Mutex) Core() *CoreMutex { return m.core() }
-
-// retryRetired runs op until it stops failing with ErrMutexRetired: the
-// binding was superseded mid-operation by a Shutdown→Init rebind, and
-// the next attempt re-resolves the fresh instance via core(). Shared by
-// every facade acquisition method.
-func retryRetired(op func() error) error {
+// do runs op on the bound lock until it stops failing with
+// ErrMutexRetired: the binding was superseded mid-operation by a
+// Shutdown→Init rebind, and the next attempt re-resolves the fresh
+// instance via core. Shared by every facade acquisition method.
+//
+// The methods that hand do a closure are marked noinline: a closure of a
+// function inlined into application code is compiled under the
+// application function's name, which call-site stripping
+// (core.isRuntimeFrame) could not tell from the application.
+func (b *binder[L]) do(newLock func(*Runtime) L, op func(L) error) error {
 	for {
-		err := op()
+		err := op(b.core(newLock))
 		if !errors.Is(err, core.ErrMutexRetired) {
 			return err
 		}
 	}
 }
 
-// retryRetiredOK is retryRetired for the (bool, error)-shaped try
-// methods.
-func retryRetiredOK(op func() (bool, error)) (bool, error) {
-	for {
-		ok, err := op()
-		if !errors.Is(err, core.ErrMutexRetired) {
-			return ok, err
-		}
+// Core exposes the underlying explicit-runtime mutex (binding it first
+// if needed), for interop with the Thread fast path and Cond.
+func (m *Mutex) Core() *CoreMutex { return m.b.core((*Runtime).NewMutex) }
+
+// must panics on an acquisition error the sync-shaped signatures cannot
+// return. The panic value is the error itself, so a supervisor can
+// recover() and test errors.Is(v.(error), ErrDeadlockRecovered).
+func must(err error) {
+	if err != nil {
+		panic(err)
 	}
 }
 
@@ -121,20 +133,18 @@ func retryRetiredOK(op func() (bool, error)) (bool, error) {
 // so a supervisor can recover() and test errors.Is(v.(error),
 // ErrDeadlockRecovered) to treat it as the in-process restart.
 func (m *Mutex) Lock() {
-	if err := retryRetired(func() error { return m.core().Lock() }); err != nil {
-		panic(err)
-	}
+	must(m.b.do((*Runtime).NewMutex, (*core.Mutex).Lock))
 }
 
 // Unlock releases the mutex. It panics if the mutex is not locked,
 // matching sync.Mutex. Unlock always goes through the binding that
 // granted the lock, even when a Shutdown has made it stale.
 func (m *Mutex) Unlock() {
-	b := m.b.Load()
-	if b == nil {
+	c, ok := m.b.bound()
+	if !ok {
 		panic("dimmunix: Unlock of unlocked Mutex")
 	}
-	if err := b.c.UnlockHandoff(); err != nil {
+	if err := c.UnlockHandoff(); err != nil {
 		if errors.Is(err, ErrNotOwner) {
 			panic("dimmunix: Unlock of unlocked Mutex")
 		}
@@ -145,22 +155,28 @@ func (m *Mutex) Unlock() {
 // TryLock attempts the lock without blocking, like sync.Mutex.TryLock.
 // A YIELD avoidance decision counts as failure: the thread may not enter
 // a known-dangerous pattern.
-func (m *Mutex) TryLock() bool {
-	ok, err := retryRetiredOK(func() (bool, error) { return m.core().TryLock() })
-	if err != nil {
-		panic(err)
-	}
+//
+//go:noinline
+func (m *Mutex) TryLock() (ok bool) {
+	must(m.b.do((*Runtime).NewMutex, func(c *core.Mutex) (err error) {
+		ok, err = c.TryLock()
+		return err
+	}))
 	return ok
 }
 
 // LockCtx acquires the mutex, giving up when ctx is canceled or its
 // deadline passes (returning ctx.Err()) or when a deadlock-recovery
 // abort unwinds the wait (returning ErrDeadlockRecovered).
+//
+//go:noinline
 func (m *Mutex) LockCtx(ctx context.Context) error {
-	return retryRetired(func() error { return m.core().LockCtx(ctx) })
+	return m.b.do((*Runtime).NewMutex, func(c *core.Mutex) error { return c.LockCtx(ctx) })
 }
 
 // LockTimeout acquires the mutex, failing with ErrTimeout after d.
+//
+//go:noinline
 func (m *Mutex) LockTimeout(d time.Duration) error {
-	return retryRetired(func() error { return m.core().LockTimeout(d) })
+	return m.b.do((*Runtime).NewMutex, func(c *core.Mutex) error { return c.LockTimeout(d) })
 }

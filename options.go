@@ -128,18 +128,6 @@ func WithMaxYield(d time.Duration) Option {
 	return func(c *Config) { c.MaxYield = d }
 }
 
-// WithGuardShards splits the avoidance guard into n independently
-// lockable shards (n <= 1 keeps the single global guard). Decision
-// operations still acquire every shard; bookkeeping (acquired/release)
-// takes only the lock's shard plus the thread's home shard. Most
-// workloads should not need this — the lock-free fast path already keeps
-// safe traffic off the guard entirely; sharding targets residual guarded
-// bookkeeping contention (e.g. dense dangerous-stack traffic over many
-// independent locks, or the data-structs ablation).
-func WithGuardShards(n int) Option {
-	return func(c *Config) { c.GuardShards = n }
-}
-
 // WithThreadTTL bounds how long an idle implicitly-registered goroutine
 // keeps its thread slot before the runtime prunes and recycles it
 // (default one minute; negative disables pruning). Explicit

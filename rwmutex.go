@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dimmunix/internal/core"
@@ -25,78 +24,30 @@ import (
 //
 // A RWMutex must not be copied after first use.
 type RWMutex struct {
-	b atomic.Pointer[rwBinding]
-}
-
-// rwBinding pairs the instrumented mutex with the default-runtime
-// generation it bound under; a stale generation triggers a rebind.
-type rwBinding struct {
-	c   *core.RWMutex
-	gen uint64
-}
-
-// core returns the bound instrumented mutex, binding to the default
-// Runtime on first use and rebinding after a Shutdown→Init transition
-// (when the old binding's runtime was replaced and the lock is free).
-func (rw *RWMutex) core() *core.RWMutex {
-	b := rw.b.Load()
-	if b != nil && b.gen == generation() {
-		return b.c
-	}
-	return rw.rebind(b)
-}
-
-func (rw *RWMutex) rebind(old *rwBinding) *core.RWMutex {
-	for {
-		if old != nil {
-			if old.gen == generation() {
-				// A racing rebind (or Init) already refreshed it.
-				return old.c
-			}
-			if !old.c.Retire() {
-				// Still held, or a writer is queued, through the
-				// previous runtime; see Mutex.rebind.
-				return old.c
-			}
-		}
-		// See Mutex.rebind for the generation-around-Default protocol.
-		gen := generation()
-		rt := Default()
-		if generation() != gen {
-			old = rw.b.Load()
-			continue
-		}
-		nb := &rwBinding{c: rt.NewRWMutex(), gen: gen}
-		if rw.b.CompareAndSwap(old, nb) {
-			return nb.c
-		}
-		old = rw.b.Load()
-	}
+	b binder[*core.RWMutex]
 }
 
 // Core exposes the underlying explicit-runtime RWMutex (binding it
 // first if needed), for interop with the Thread fast path.
-func (rw *RWMutex) Core() *CoreRWMutex { return rw.core() }
+func (rw *RWMutex) Core() *CoreRWMutex { return rw.b.core((*Runtime).NewRWMutex) }
 
 // Lock write-locks, running the full avoidance protocol. It panics only
 // if a deadlock-recovery abort unwinds this thread's wait; the panic
 // value is the error itself, so a supervisor can recover() and test
 // errors.Is(v.(error), ErrDeadlockRecovered).
 func (rw *RWMutex) Lock() {
-	if err := retryRetired(func() error { return rw.core().Lock() }); err != nil {
-		panic(err)
-	}
+	must(rw.b.do((*Runtime).NewRWMutex, (*core.RWMutex).Lock))
 }
 
 // Unlock write-unlocks. It panics if the lock is not write-locked,
 // matching sync.RWMutex. Like sync, a write-locked RWMutex may be handed
 // off and unlocked by a different goroutine.
 func (rw *RWMutex) Unlock() {
-	b := rw.b.Load()
-	if b == nil {
+	c, ok := rw.b.bound()
+	if !ok {
 		panic("dimmunix: Unlock of unlocked RWMutex")
 	}
-	if err := b.c.UnlockHandoff(); err != nil {
+	if err := c.UnlockHandoff(); err != nil {
 		if errors.Is(err, ErrNotOwner) {
 			panic("dimmunix: Unlock of unlocked RWMutex")
 		}
@@ -107,62 +58,72 @@ func (rw *RWMutex) Unlock() {
 // RLock read-locks. The acquisition participates in the avoidance
 // protocol; the hold is shared with other readers.
 func (rw *RWMutex) RLock() {
-	if err := retryRetired(func() error { return rw.core().RLock() }); err != nil {
-		panic(err)
-	}
+	must(rw.b.do((*Runtime).NewRWMutex, (*core.RWMutex).RLock))
 }
 
 // RUnlock releases one read lock held by the calling goroutine. It
 // panics if the calling goroutine holds no read lock.
 func (rw *RWMutex) RUnlock() {
-	b := rw.b.Load()
-	if b == nil {
+	c, ok := rw.b.bound()
+	if !ok {
 		panic("dimmunix: RUnlock of unlocked RWMutex")
 	}
-	if err := b.c.RUnlock(); err != nil {
+	if err := c.RUnlock(); err != nil {
 		panic("dimmunix: RUnlock: " + err.Error())
 	}
 }
 
 // TryLock attempts the write lock without blocking; a YIELD avoidance
 // decision counts as failure.
-func (rw *RWMutex) TryLock() bool {
-	ok, err := retryRetiredOK(func() (bool, error) { return rw.core().TryLock() })
-	if err != nil {
-		panic(err)
-	}
+//
+//go:noinline
+func (rw *RWMutex) TryLock() (ok bool) {
+	must(rw.b.do((*Runtime).NewRWMutex, func(c *core.RWMutex) (err error) {
+		ok, err = c.TryLock()
+		return err
+	}))
 	return ok
 }
 
 // TryRLock attempts a read lock without blocking.
-func (rw *RWMutex) TryRLock() bool {
-	ok, err := retryRetiredOK(func() (bool, error) { return rw.core().TryRLock() })
-	if err != nil {
-		panic(err)
-	}
+//
+//go:noinline
+func (rw *RWMutex) TryRLock() (ok bool) {
+	must(rw.b.do((*Runtime).NewRWMutex, func(c *core.RWMutex) (err error) {
+		ok, err = c.TryRLock()
+		return err
+	}))
 	return ok
 }
 
 // LockCtx write-locks, giving up when ctx fires (returning ctx.Err())
 // or when a deadlock-recovery abort unwinds the wait (returning
 // ErrDeadlockRecovered).
+//
+//go:noinline
 func (rw *RWMutex) LockCtx(ctx context.Context) error {
-	return retryRetired(func() error { return rw.core().LockCtx(ctx) })
+	return rw.b.do((*Runtime).NewRWMutex, func(c *core.RWMutex) error { return c.LockCtx(ctx) })
 }
 
 // RLockCtx read-locks with the same cancellation behavior as LockCtx.
+//
+//go:noinline
 func (rw *RWMutex) RLockCtx(ctx context.Context) error {
-	return retryRetired(func() error { return rw.core().RLockCtx(ctx) })
+	return rw.b.do((*Runtime).NewRWMutex, func(c *core.RWMutex) error { return c.RLockCtx(ctx) })
 }
 
 // LockTimeout write-locks, failing with ErrTimeout after d.
+//
+//go:noinline
 func (rw *RWMutex) LockTimeout(d time.Duration) error {
-	return retryRetired(func() error { return rw.core().LockTimeout(d) })
+	return rw.b.do((*Runtime).NewRWMutex, func(c *core.RWMutex) error { return c.LockTimeout(d) })
 }
 
 // RLockTimeout read-locks, failing with ErrTimeout after d.
+//
+//go:noinline
 func (rw *RWMutex) RLockTimeout(d time.Duration) error {
-	return retryRetired(func() error { return rw.core().RLockTimeout(d) })
+	return rw.b.do((*Runtime).NewRWMutex, func(c *core.RWMutex) error { return c.RLockTimeout(d) })
 }
 
 // RLocker returns a sync.Locker whose Lock and Unlock call RLock and
