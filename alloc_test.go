@@ -17,13 +17,19 @@ import (
 	"time"
 
 	"dimmunix"
+	"dimmunix/internal/core"
 )
 
 func allocRT(t *testing.T, cfg dimmunix.Config) *dimmunix.Runtime {
 	t.Helper()
+	return allocRTLab(t, cfg, core.Lab{})
+}
+
+func allocRTLab(t *testing.T, cfg dimmunix.Config, lab core.Lab) *dimmunix.Runtime {
+	t.Helper()
 	cfg.Tau = time.Hour // no monitor passes during measurement
 	cfg.ThreadTTL = -1  // no pruner sweeps
-	rt := dimmunix.MustNew(cfg)
+	rt := core.MustNewLab(cfg, lab)
 	t.Cleanup(func() { rt.Stop() })
 	return rt
 }
@@ -136,7 +142,7 @@ func TestFastPathTimedAndCtxZeroAllocs(t *testing.T) {
 // PC cache — symbolizes its stack. That costs allocations by design; this
 // test only pins the budget so regressions surface.
 func TestGuardedPathAllocBudget(t *testing.T) {
-	rt := allocRT(t, dimmunix.Config{Mode: dimmunix.ModeFull, DisableFastPath: true})
+	rt := allocRTLab(t, dimmunix.Config{Mode: dimmunix.ModeFull}, core.Lab{DisableFastPath: true})
 	th := rt.RegisterThread("alloc-guarded")
 	defer th.Close()
 	m := rt.NewMutex()

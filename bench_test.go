@@ -13,12 +13,19 @@ import (
 	"time"
 
 	"dimmunix"
-	"dimmunix/internal/gatelock"
+	"dimmunix/internal/bench/gatelock"
+	"dimmunix/internal/core"
 	"dimmunix/internal/simapp"
 	"dimmunix/internal/workload"
 )
 
 func newRT(b *testing.B, cfg dimmunix.Config) *dimmunix.Runtime {
+	b.Helper()
+	return newRTLab(b, cfg, core.Lab{})
+}
+
+// newRTLab is newRT with the module-internal lab knobs set.
+func newRTLab(b *testing.B, cfg dimmunix.Config, lab core.Lab) *dimmunix.Runtime {
 	b.Helper()
 	if cfg.Tau == 0 {
 		cfg.Tau = 50 * time.Millisecond
@@ -29,7 +36,7 @@ func newRT(b *testing.B, cfg dimmunix.Config) *dimmunix.Runtime {
 			rt.AbortThreads(info.ThreadIDs...)
 		}
 	}
-	rt = dimmunix.MustNew(cfg)
+	rt = core.MustNewLab(cfg, lab)
 	b.Cleanup(func() { rt.Stop() })
 	return rt
 }
@@ -257,7 +264,7 @@ func BenchmarkFig9_MatchDepth1(b *testing.B)  { fig9Depth(b, 1) }
 func BenchmarkFig9_MatchDepth10(b *testing.B) { fig9Depth(b, 10) }
 
 func fig9Depth(b *testing.B, depth int) {
-	rt := newRT(b, dimmunix.Config{MatchDepth: depth, StackDepth: 12, ProbeDepth: 10, MaxYield: time.Millisecond})
+	rt := newRTLab(b, dimmunix.Config{MatchDepth: depth, StackDepth: 12, MaxYield: time.Millisecond}, core.Lab{ProbeDepth: 10})
 	r := workload.NewRunner(rt, workload.Config{Threads: 2, Locks: 8})
 	withHistory(b, rt, r, 64, depth)
 	th := rt.RegisterThread("bench")
@@ -281,19 +288,7 @@ func BenchmarkFig9_GateLockEnterExit(b *testing.B) {
 	}
 }
 
-// --- Ablations (guard kind, thread identity) -------------------------------
-
-func BenchmarkAblationGuardMutex(b *testing.B) {
-	lockOpBench(b, dimmunix.Config{Guard: dimmunix.GuardMutex}, 64)
-}
-
-func BenchmarkAblationGuardSpin(b *testing.B) {
-	lockOpBench(b, dimmunix.Config{Guard: dimmunix.GuardSpin}, 64)
-}
-
-func BenchmarkAblationGuardFilter(b *testing.B) {
-	lockOpBench(b, dimmunix.Config{Guard: dimmunix.GuardFilter, MaxThreads: 16}, 64)
-}
+// --- Ablations (thread identity) -------------------------------------------
 
 func BenchmarkAblationThreadIDExplicit(b *testing.B) {
 	rt := newRT(b, dimmunix.Config{})
@@ -376,8 +371,8 @@ func BenchmarkDropInRWMutexRead(b *testing.B) {
 
 var parallelLadder = []int{1, 2, 8, 32, 128}
 
-func benchLockParallel(b *testing.B, cfg dimmunix.Config, hsigs, g int) {
-	rt := newRT(b, cfg)
+func benchLockParallel(b *testing.B, cfg dimmunix.Config, lab core.Lab, hsigs, g int) {
+	rt := newRTLab(b, cfg, lab)
 	if hsigs > 0 && cfg.Mode != dimmunix.ModeOff {
 		r := workload.NewRunner(rt, workload.Config{Threads: 2, Locks: 8})
 		withHistory(b, rt, r, hsigs, 4)
@@ -417,18 +412,18 @@ func benchLockParallel(b *testing.B, cfg dimmunix.Config, hsigs, g int) {
 	}
 	wg.Wait()
 	b.StopTimer()
-	if !cfg.DisableFastPath && cfg.Mode == dimmunix.ModeFull && rt.Stats().FastGos == 0 {
+	if !lab.DisableFastPath && cfg.Mode == dimmunix.ModeFull && rt.Stats().FastGos == 0 {
 		b.Fatal("fast-path benchmark never took the fast tier")
 	}
-	if cfg.DisableFastPath && rt.Stats().FastGos != 0 {
+	if lab.DisableFastPath && rt.Stats().FastGos != 0 {
 		b.Fatal("guarded baseline leaked onto the fast tier")
 	}
 }
 
-func runParallelLadder(b *testing.B, cfg dimmunix.Config, hsigs int) {
+func runParallelLadder(b *testing.B, cfg dimmunix.Config, lab core.Lab, hsigs int) {
 	for _, g := range parallelLadder {
 		b.Run(fmt.Sprintf("g%d", g), func(b *testing.B) {
-			benchLockParallel(b, cfg, hsigs, g)
+			benchLockParallel(b, cfg, lab, hsigs, g)
 		})
 	}
 }
@@ -436,27 +431,27 @@ func runParallelLadder(b *testing.B, cfg dimmunix.Config, hsigs int) {
 // BenchmarkLockUncontendedParallel is the tentpole metric: empty history,
 // lock-free fast tier on.
 func BenchmarkLockUncontendedParallel(b *testing.B) {
-	runParallelLadder(b, dimmunix.Config{Mode: dimmunix.ModeFull}, 0)
+	runParallelLadder(b, dimmunix.Config{Mode: dimmunix.ModeFull}, core.Lab{}, 0)
 }
 
 // BenchmarkLockUncontendedParallelGuarded is the pre-refactor path: every
 // request runs the guarded §5.4 protocol.
 func BenchmarkLockUncontendedParallelGuarded(b *testing.B) {
-	runParallelLadder(b, dimmunix.Config{Mode: dimmunix.ModeFull, DisableFastPath: true}, 0)
+	runParallelLadder(b, dimmunix.Config{Mode: dimmunix.ModeFull}, core.Lab{DisableFastPath: true}, 0)
 }
 
 // BenchmarkLockUncontendedParallelPopulated keeps 32 signatures in the
 // history; the bench call sites match none of them, so the fast tier
 // still applies (one marker check against the live danger index).
 func BenchmarkLockUncontendedParallelPopulated(b *testing.B) {
-	runParallelLadder(b, dimmunix.Config{Mode: dimmunix.ModeFull}, 32)
+	runParallelLadder(b, dimmunix.Config{Mode: dimmunix.ModeFull}, core.Lab{}, 32)
 }
 
 // BenchmarkLockUncontendedParallelGuardedPopulated: pre-refactor path
 // with 32 signatures (index refresh + reverse-index lookups under the
 // global guard).
 func BenchmarkLockUncontendedParallelGuardedPopulated(b *testing.B) {
-	runParallelLadder(b, dimmunix.Config{Mode: dimmunix.ModeFull, DisableFastPath: true}, 32)
+	runParallelLadder(b, dimmunix.Config{Mode: dimmunix.ModeFull}, core.Lab{DisableFastPath: true}, 32)
 }
 
 // BenchmarkLockUncontendedParallelTraced: fast tier on with trace mode
@@ -471,7 +466,7 @@ func BenchmarkLockUncontendedParallelTraced(b *testing.B) {
 			benchLockParallel(b, dimmunix.Config{
 				Mode:      dimmunix.ModeFull,
 				TracePath: filepath.Join(b.TempDir(), "bench.trace"),
-			}, 0, g)
+			}, core.Lab{}, 0, g)
 		})
 	}
 }

@@ -1,28 +1,22 @@
-// Command dimmunix-benchdiff compares a `go test -bench` run against the
-// committed medians in BENCH_fastpath.json and gates fast-path allocation
-// regressions in CI. It is a dependency-free stand-in for benchstat
-// (which the CI image does not carry): it parses the standard benchmark
-// output format, reduces repeated runs (-count=N) to per-benchmark
-// medians, prints an old-vs-new delta table, and — with -gate-allocs —
-// exits nonzero if any fast-tier benchmark's median allocs/op is above
-// zero, the regression the zero-allocation fast path must never reintroduce.
-//
-// -gate-latency <pct> additionally fails the run when a fast-tier
-// benchmark's median ns/op regresses more than pct percent over the
-// committed baseline median — the latency counterpart of the alloc
-// gate. Benchmarks absent from the baseline are skipped (new benchmarks
-// gate from their first committed baseline, not their first run).
+// Command dimmunix-benchdiff summarizes a `go test -bench` run and gates
+// fast-path allocation regressions in CI. It is a dependency-free
+// stand-in for benchstat (which the CI image does not carry): it parses
+// the standard benchmark output format, reduces repeated runs (-count=N)
+// to per-benchmark medians, prints them, and — with -gate-allocs — exits
+// nonzero if any fast-tier benchmark's median allocs/op is above zero,
+// the regression the zero-allocation fast path must never reintroduce.
+// Latency is not gated here: benchmark/ (BENCHMARK.json) is the
+// performance contract.
 //
 // Usage:
 //
-//	dimmunix-benchdiff -bench bench-ci.txt [-baseline BENCH_fastpath.json] [-gate-allocs] [-gate-latency 25]
+//	dimmunix-benchdiff -bench bench-ci.txt [-gate-allocs]
 //
 // -bench may be "-" to read the benchmark output from stdin.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -35,8 +29,8 @@ import (
 
 // fastTierPattern selects the benchmarks the allocation gate applies to:
 // the uncontended fast tier, empty or populated history. The guarded
-// baselines (DisableFastPath) symbolize stacks per operation by design
-// and are exempt.
+// reference path symbolizes stacks per operation by design and is
+// exempt.
 var fastTierPattern = regexp.MustCompile(`^BenchmarkLockUncontendedParallel(Populated)?/`)
 
 // benchLine matches one benchmark result line, e.g.
@@ -50,14 +44,6 @@ type runs struct {
 	ns     []float64
 	bytes  []float64
 	allocs []float64
-}
-
-type baselineFile struct {
-	Benchmarks []struct {
-		Name           string  `json:"name"`
-		NsPerOpMedian  float64 `json:"ns_per_op_median"`
-		AllocsPerOpMed float64 `json:"allocs_per_op_median"`
-	} `json:"benchmarks"`
 }
 
 func median(xs []float64) float64 {
@@ -108,9 +94,7 @@ func parse(r io.Reader) (map[string]*runs, []string, error) {
 
 func main() {
 	benchPath := flag.String("bench", "-", "benchmark output file (- = stdin)")
-	basePath := flag.String("baseline", "", "BENCH_fastpath.json to diff medians against")
 	gate := flag.Bool("gate-allocs", false, "exit 1 if a fast-tier benchmark's median allocs/op > 0")
-	gateLatency := flag.Float64("gate-latency", 0, "exit 1 if a fast-tier benchmark's median ns/op regresses more than this percent over the baseline (0 = off)")
 	flag.Parse()
 
 	in := io.Reader(os.Stdin)
@@ -133,39 +117,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	old := map[string]float64{}
-	oldAllocs := map[string]float64{}
-	if *basePath != "" {
-		data, err := os.ReadFile(*basePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
-		var base baselineFile
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff: parse baseline:", err)
-			os.Exit(2)
-		}
-		for _, b := range base.Benchmarks {
-			old[b.Name] = b.NsPerOpMedian
-			oldAllocs[b.Name] = b.AllocsPerOpMed
-		}
-	}
-
 	w := bufio.NewWriter(os.Stdout)
-	fmt.Fprintf(w, "%-55s %12s %12s %9s %9s\n", "benchmark (medians)", "old ns/op", "new ns/op", "delta", "allocs")
+	fmt.Fprintf(w, "%-55s %12s %9s\n", "benchmark (medians)", "ns/op", "allocs")
 	for _, name := range order {
 		rs := byName[name]
-		newNs := median(rs.ns)
-		newAllocs := median(rs.allocs)
-		oldNs, hasOld := old[name]
-		delta := "n/a"
-		oldCol := "n/a"
-		if hasOld && oldNs > 0 {
-			oldCol = fmt.Sprintf("%.1f", oldNs)
-			delta = fmt.Sprintf("%+.1f%%", (newNs-oldNs)/oldNs*100)
-		}
-		fmt.Fprintf(w, "%-55s %12s %12.1f %9s %9.0f\n", name, oldCol, newNs, delta, newAllocs)
+		fmt.Fprintf(w, "%-55s %12.1f %9.0f\n", name, median(rs.ns), median(rs.allocs))
 	}
 	w.Flush()
 
@@ -189,38 +145,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("alloc gate: fast-tier benchmarks at 0 allocs/op")
-	}
-
-	if *gateLatency > 0 {
-		if *basePath == "" {
-			fmt.Fprintln(os.Stderr, "benchdiff: -gate-latency needs -baseline")
-			os.Exit(2)
-		}
-		failed := false
-		gated := 0
-		for name, rs := range byName {
-			if !fastTierPattern.MatchString(name) {
-				continue
-			}
-			oldNs, hasOld := old[name]
-			if !hasOld || oldNs <= 0 {
-				continue
-			}
-			gated++
-			newNs := median(rs.ns)
-			if pct := (newNs - oldNs) / oldNs * 100; pct > *gateLatency {
-				fmt.Fprintf(os.Stderr, "benchdiff: LATENCY REGRESSION: %s median %.1f ns/op vs baseline %.1f (%+.1f%%, limit %+.1f%%)\n",
-					name, newNs, oldNs, pct, *gateLatency)
-				failed = true
-			}
-		}
-		if gated == 0 {
-			fmt.Fprintln(os.Stderr, "benchdiff: -gate-latency matched no fast-tier benchmark present in the baseline")
-			os.Exit(2)
-		}
-		if failed {
-			os.Exit(1)
-		}
-		fmt.Printf("latency gate: %d fast-tier benchmark(s) within %+.1f%% of baseline\n", gated, *gateLatency)
 	}
 }

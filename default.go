@@ -135,17 +135,14 @@ func Shutdown() error {
 //	DIMMUNIX_TAU               monitor period, Go duration ("100ms")
 //	DIMMUNIX_MODE              off | instrument | datastructs | full
 //	DIMMUNIX_IMMUNITY          weak | strong
-//	DIMMUNIX_GUARD             mutex | spin | filter
 //	DIMMUNIX_RECOVERY          abort | off
 //	DIMMUNIX_MATCH_DEPTH       int
 //	DIMMUNIX_MAX_YIELD         Go duration
-//	DIMMUNIX_MAX_THREADS       int
 //	DIMMUNIX_STACK_DEPTH       int
 //	DIMMUNIX_CALIBRATE         bool
 //	DIMMUNIX_DISCARD_OBSOLETE  bool
 //	DIMMUNIX_THREAD_TTL        Go duration (idle implicit-thread pruning;
 //	                           negative disables)
-//	DIMMUNIX_FASTPATH          on | off (safe-stack lock-free bypass)
 //	DIMMUNIX_EVENT_BUFFER      int (observability ring / subscriber
 //	                           channel capacity; default 256)
 //	DIMMUNIX_EVENT_BATCH       int (per-thread monitor-publication batch
@@ -175,9 +172,6 @@ func configFromEnv() (Config, error) {
 	if err := envInt("DIMMUNIX_MATCH_DEPTH", &cfg.MatchDepth); err != nil {
 		return cfg, err
 	}
-	if err := envInt("DIMMUNIX_MAX_THREADS", &cfg.MaxThreads); err != nil {
-		return cfg, err
-	}
 	if err := envInt("DIMMUNIX_STACK_DEPTH", &cfg.StackDepth); err != nil {
 		return cfg, err
 	}
@@ -199,16 +193,6 @@ func configFromEnv() (Config, error) {
 	cfg.TracePath = os.Getenv("DIMMUNIX_TRACE")
 	if err := envInt64("DIMMUNIX_TRACE_MAX_BYTES", &cfg.TraceMaxBytes); err != nil {
 		return cfg, err
-	}
-	if v := os.Getenv("DIMMUNIX_FASTPATH"); v != "" {
-		switch strings.ToLower(v) {
-		case "on":
-			cfg.DisableFastPath = false
-		case "off":
-			cfg.DisableFastPath = true
-		default:
-			return cfg, fmt.Errorf("dimmunix: DIMMUNIX_FASTPATH=%q (want on|off)", v)
-		}
 	}
 
 	if v := os.Getenv("DIMMUNIX_MODE"); v != "" {
@@ -233,18 +217,6 @@ func configFromEnv() (Config, error) {
 			cfg.Immunity = StrongImmunity
 		default:
 			return cfg, fmt.Errorf("dimmunix: DIMMUNIX_IMMUNITY=%q (want weak|strong)", v)
-		}
-	}
-	if v := os.Getenv("DIMMUNIX_GUARD"); v != "" {
-		switch strings.ToLower(v) {
-		case "mutex":
-			cfg.Guard = GuardMutex
-		case "spin":
-			cfg.Guard = GuardSpin
-		case "filter":
-			cfg.Guard = GuardFilter
-		default:
-			return cfg, fmt.Errorf("dimmunix: DIMMUNIX_GUARD=%q (want mutex|spin|filter)", v)
 		}
 	}
 	if v := os.Getenv("DIMMUNIX_RECOVERY"); v != "" {

@@ -10,10 +10,11 @@
 // and records yield-cause bindings so it can be woken when any binding
 // breaks.
 //
-// Synchronization is two-tier. The guarded tier uses one pluggable guard
-// (sync.Mutex, TAS spin lock, or the generalized Peterson filter lock of
-// §5.6) protecting every mutable structure here, including the mutable
-// fields of *signature.Signature. The lock-free tier (FastRequest/FastAcquired/
+// Synchronization is two-tier. The guarded tier uses one sync.Mutex (the
+// guard) protecting every mutable structure here, including the mutable
+// fields of *signature.Signature. §5.6's Peterson filter lock exists because
+// the paper's code runs inside the pthreads mutex it instruments; a Go
+// package may simply use sync. The lock-free tier (FastRequest/FastAcquired/
 // FastRelease/FastCancel) handles requests whose call stack is provably
 // safe under the current history epoch: such stacks appear in no matcher,
 // so their edges could never change any decision, and the tier touches no
@@ -41,7 +42,6 @@ import (
 
 	"dimmunix/internal/event"
 	"dimmunix/internal/obs"
-	"dimmunix/internal/peterson"
 	"dimmunix/internal/signature"
 	"dimmunix/internal/stack"
 )
@@ -61,11 +61,10 @@ const (
 )
 
 // ThreadState is the cache's per-thread node. One exists per registered
-// application thread; they are preallocated-friendly (dense slots).
+// application thread.
 type ThreadState struct {
 	ID   int32
 	Name string
-	Slot int // guard slot for the filter lock
 
 	// Priority influences starvation-break victim selection (§8 notes
 	// priority support "can easily be added"; this is that addition).
@@ -177,9 +176,6 @@ type Binding struct {
 
 // Config parametrizes a Cache.
 type Config struct {
-	// Guard selects the mutual-exclusion primitive for the shared
-	// structures; nil selects sync.Mutex.
-	Guard peterson.Guard
 	// DisableFastPath forces every request through the guarded protocol
 	// (benchmark baselines and differential testing).
 	DisableFastPath bool
@@ -196,8 +192,6 @@ type Config struct {
 	// its best depth — §8: such signatures are obsolete (e.g. the bug
 	// was fixed by an upgrade).
 	DiscardObsolete bool
-	// MaxThreads sizes the preallocated thread slot table.
-	MaxThreads int
 	// EventBatch is the per-thread bookkeeping-event batch size: acquired
 	// and release events accumulate in a per-thread buffer published to
 	// the monitor queue one Batch event per EventBatch records (ordering
@@ -214,7 +208,7 @@ type Config struct {
 // Cache is the avoidance-side state of one Dimmunix runtime.
 type Cache struct {
 	cfg      Config
-	guard    peterson.Guard
+	guard    sync.Mutex
 	fastOK   bool // precomputed: requests may use the lock-free tier
 	interner *stack.Interner
 	hist     *signature.History
@@ -256,15 +250,8 @@ type Cache struct {
 // NewCache builds a cache over the given history. emit must be non-nil and
 // is invoked for every instrumentation event.
 func NewCache(cfg Config, interner *stack.Interner, hist *signature.History, stats *Stats, emit func(event.Event)) *Cache {
-	if cfg.MaxThreads <= 0 {
-		cfg.MaxThreads = 1024
-	}
-	if cfg.Guard == nil {
-		cfg.Guard = peterson.NewMutex()
-	}
 	c := &Cache{
 		cfg:        cfg,
-		guard:      cfg.Guard,
 		fastOK:     cfg.Mode == ModeFull && !cfg.IgnoreDecisions && !cfg.DisableFastPath,
 		interner:   interner,
 		hist:       hist,
@@ -284,12 +271,12 @@ func NewCache(cfg Config, interner *stack.Interner, hist *signature.History, sta
 // Stats returns the cache's counters.
 func (c *Cache) Stats() *Stats { return c.stats }
 
-// NewThread creates the cache node for a registered thread.
-func (c *Cache) NewThread(id int32, slot int, name string) *ThreadState {
+// NewThread creates the cache node for a registered thread. The middle
+// parameter is ignored; it stays until benchmark/ stops passing it.
+func (c *Cache) NewThread(id int32, _ int, name string) *ThreadState {
 	t := &ThreadState{
 		ID:   id,
 		Name: name,
-		Slot: slot,
 		Wake: make(chan struct{}, 1),
 	}
 	c.threadsMu.Lock()
@@ -503,9 +490,9 @@ func (c *Cache) NoteFastHold(t *ThreadState, l *LockState, in *stack.Interned, s
 		// sibling entry, the books still balance and matching only gets
 		// more conservative.)
 		if takeFastHold(t, l) {
-			c.guard.Lock(t.Slot)
+			c.guard.Lock()
 			c.adoptHold(t, l, in, shared)
-			c.guard.Unlock(t.Slot)
+			c.guard.Unlock()
 		}
 	}
 }
@@ -659,7 +646,7 @@ func (c *Cache) Request(t *ThreadState, l *LockState, in *stack.Interned) Decisi
 		return Decision{Go: true}
 	}
 
-	c.guard.Lock(t.Slot)
+	c.guard.Lock()
 	clearYieldRegs(t)
 
 	var dec Decision
@@ -705,7 +692,7 @@ func (c *Cache) Request(t *ThreadState, l *LockState, in *stack.Interned) Decisi
 			t.yieldRegs = append(t.yieldRegs, b.L)
 			causes = append(causes, event.Cause{TID: b.T.ID, LID: b.L.ID, Stack: b.St, SigIdx: b.SigIdx})
 		}
-		c.guard.Unlock(t.Slot)
+		c.guard.Unlock()
 		c.lastAvoided.Store(dec.Sig)
 		c.stats.noteYield(dec.Sig.ID)
 		// Yield is emitted directly (it carries causes the Record format
@@ -734,7 +721,7 @@ func (c *Cache) Request(t *ThreadState, l *LockState, in *stack.Interned) Decisi
 
 	// GO: commit the allow edge.
 	t.pendingAllow = c.addEntry(t, l, in, false)
-	c.guard.Unlock(t.Slot)
+	c.guard.Unlock()
 	c.stats.Gos.Add(1)
 	c.bufEmit(t, event.Go, l.ID, in)
 	return dec
@@ -761,7 +748,7 @@ func (c *Cache) acquired(t *ThreadState, l *LockState, shared bool) {
 		c.emit(event.Event{Kind: event.Acquired, TID: t.ID, LID: l.ID})
 		return
 	}
-	c.guard.Lock(t.Slot)
+	c.guard.Lock()
 	e := t.pendingAllow
 	var in *stack.Interned
 	if e != nil && e.l == l {
@@ -773,7 +760,7 @@ func (c *Cache) acquired(t *ThreadState, l *LockState, shared bool) {
 	if !shared {
 		l.owner = t
 	}
-	c.guard.Unlock(t.Slot)
+	c.guard.Unlock()
 	c.bufEmit(t, event.Acquired, l.ID, in)
 }
 
@@ -792,9 +779,9 @@ func (c *Cache) ReentrantAcquired(t *ThreadState, l *LockState, in *stack.Intern
 		return true
 	}
 	if c.cfg.Mode != ModeInstrument {
-		c.guard.Lock(t.Slot)
+		c.guard.Lock()
 		t.holds = append(t.holds, c.addEntry(t, l, in, true))
-		c.guard.Unlock(t.Slot)
+		c.guard.Unlock()
 	}
 	c.bufEmit(t, event.Acquired, l.ID, in)
 	return false
@@ -810,7 +797,7 @@ func (c *Cache) Release(t *ThreadState, l *LockState) {
 		c.emit(event.Event{Kind: event.Release, TID: t.ID, LID: l.ID})
 		return
 	}
-	c.guard.Lock(t.Slot)
+	c.guard.Lock()
 	for i := len(t.holds) - 1; i >= 0; i-- {
 		if t.holds[i].l == l {
 			c.removeEntry(t.holds[i])
@@ -829,7 +816,7 @@ func (c *Cache) Release(t *ThreadState, l *LockState) {
 		l.owner = nil
 	}
 	toWake := waitersOf(l)
-	c.guard.Unlock(t.Slot)
+	c.guard.Unlock()
 	c.bufEmit(t, event.Release, l.ID, nil)
 	for _, w := range toWake {
 		wake(w)
@@ -859,14 +846,14 @@ func (c *Cache) Cancel(t *ThreadState, l *LockState) {
 		c.emit(event.Event{Kind: event.Cancel, TID: t.ID, LID: l.ID})
 		return
 	}
-	c.guard.Lock(t.Slot)
+	c.guard.Lock()
 	clearYieldRegs(t)
 	if e := t.pendingAllow; e != nil && e.l == l {
 		c.removeEntry(e)
 		t.pendingAllow = nil
 	}
 	toWake := waitersOf(l)
-	c.guard.Unlock(t.Slot)
+	c.guard.Unlock()
 	c.emit(event.Event{Kind: event.Cancel, TID: t.ID, LID: l.ID})
 	for _, w := range toWake {
 		wake(w)
@@ -876,7 +863,7 @@ func (c *Cache) Cancel(t *ThreadState, l *LockState) {
 // ThreadExit deregisters a thread.
 func (c *Cache) ThreadExit(t *ThreadState) {
 	if c.cfg.Mode != ModeInstrument {
-		c.guard.Lock(t.Slot)
+		c.guard.Lock()
 		clearYieldRegs(t)
 		if t.pendingAllow != nil {
 			c.removeEntry(t.pendingAllow)
@@ -889,7 +876,7 @@ func (c *Cache) ThreadExit(t *ThreadState) {
 			}
 		}
 		t.holds = nil
-		c.guard.Unlock(t.Slot)
+		c.guard.Unlock()
 	}
 	t.fhMu.Lock()
 	t.fastHolds = nil
@@ -914,10 +901,10 @@ func (c *Cache) ThreadQuiescent(t *ThreadState) bool {
 	if c.cfg.Mode == ModeInstrument {
 		return true
 	}
-	c.guard.Lock(t.Slot)
+	c.guard.Lock()
 	quiet := t.pendingAllow == nil && len(t.holds) == 0 &&
 		len(t.yieldRegs) == 0 && t.yieldSig == nil
-	c.guard.Unlock(t.Slot)
+	c.guard.Unlock()
 	return quiet
 }
 
@@ -926,21 +913,19 @@ func (c *Cache) ThreadQuiescent(t *ThreadState) bool {
 // the max-yield bound (§5.7). Fast-path requests leave the flag armed
 // (they never yield, so consuming it there would waive nothing).
 func (c *Cache) ForceGo(t *ThreadState) {
-	c.guard.Lock(t.Slot)
+	c.guard.Lock()
 	t.forcedGo = true
-	c.guard.Unlock(t.Slot)
+	c.guard.Unlock()
 	wake(t)
 }
 
-// WithGuard runs fn with the guard held. The mutable per-signature fields (counters, calibration state,
-// disabled adoption) are owned by this guard, so history snapshots taken
-// for store pushes and store merges folded into the live history must run
-// under it. slot identifies the caller for the filter guard: concurrent
-// callers need distinct slots (the runtime reserves one for the monitor
-// and one for the sync domain).
-func (c *Cache) WithGuard(slot int, fn func()) {
-	c.guard.Lock(slot)
-	defer c.guard.Unlock(slot)
+// WithGuard runs fn with the guard held. The mutable per-signature fields
+// (counters, calibration state, disabled adoption) are owned by this guard,
+// so history snapshots taken for store pushes and store merges folded into
+// the live history must run under it.
+func (c *Cache) WithGuard(fn func()) {
+	c.guard.Lock()
+	defer c.guard.Unlock()
 	fn()
 }
 
@@ -950,7 +935,7 @@ func (c *Cache) WithGuard(slot int, fn func()) {
 func (c *Cache) NoteAbort(t *ThreadState, sigID string, autoDisableAfter uint64) {
 	c.stats.Aborts.Add(1)
 	// Signature fields are shared with Request matching.
-	c.guard.Lock(t.Slot)
+	c.guard.Lock()
 	t.forcedGo = true
 	if sig := c.hist.Get(sigID); sig != nil {
 		sig.AbortCount++
@@ -961,7 +946,7 @@ func (c *Cache) NoteAbort(t *ThreadState, sigID string, autoDisableAfter uint64)
 			c.hist.SetDisabled(sigID, true)
 		}
 	}
-	c.guard.Unlock(t.Slot)
+	c.guard.Unlock()
 }
 
 // RecordOutcome applies a retrospective FP/TP verdict for an avoidance of
@@ -972,7 +957,7 @@ func (c *Cache) RecordOutcome(sigID string, depth int, fp bool, yielderStack *st
 	if sig == nil {
 		return
 	}
-	c.guard.Lock(0)
+	c.guard.Lock()
 	if fp {
 		sig.FPCount++
 	} else {
@@ -1008,7 +993,7 @@ func (c *Cache) RecordOutcome(sigID string, depth int, fp bool, yielderStack *st
 			c.hist.Remove(sig.ID)
 		}
 	}
-	c.guard.Unlock(0)
+	c.guard.Unlock()
 }
 
 // BindingRecord is the durable form of a Binding, kept by the monitor for
@@ -1028,8 +1013,8 @@ func (c *Cache) LastAvoided() *signature.Signature {
 // HolderOf returns the cache's view of l's owner thread ID (0 if free),
 // for diagnostics.
 func (c *Cache) HolderOf(l *LockState) int32 {
-	c.guard.Lock(0)
-	defer c.guard.Unlock(0)
+	c.guard.Lock()
+	defer c.guard.Unlock()
 	if l.owner == nil {
 		return 0
 	}

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dimmunix/internal/gatelock"
-	"dimmunix/internal/ghostlock"
+	"dimmunix/internal/bench/gatelock"
+	"dimmunix/internal/bench/ghostlock"
 )
 
 // The comparator workloads mirror the Fig 9 microbenchmark point

@@ -38,7 +38,7 @@ func Fig4(s Scale) Report {
 		baseRT.Stop()
 
 		for _, h := range []int{32, 64, 128} {
-			rt := core.MustNew(core.Config{Tau: 50 * time.Millisecond, MaxThreads: p.Workers + 8})
+			rt := core.MustNew(core.Config{Tau: 50 * time.Millisecond})
 			srv := serverapp.New(rt, p)
 			srv.Run(dur / 4) // warmup: populate the stack interner
 			hist, err := workload.SynthesizeHistory(rt.CapturedStacks(), h, 2, 4, int64(h))

@@ -22,7 +22,6 @@ type pointOpts struct {
 	mode       core.Mode
 	ignore     bool
 	probeDepth int
-	guard      core.GuardKind
 	calibrate  bool
 
 	dur    time.Duration
@@ -88,18 +87,14 @@ func runPointOnce(s Scale, o pointOpts) workload.Result {
 		Mode:       o.mode,
 		MatchDepth: o.sigDepth,
 		// StackDepth 12 comfortably covers the paper's D=10 probing.
-		StackDepth:      12,
-		IgnoreDecisions: o.ignore,
-		ProbeDepth:      o.probeDepth,
-		Guard:           o.guard,
-		Calibrate:       o.calibrate,
-		MaxThreads:      o.threads + 8,
-		MaxYield:        50 * time.Millisecond,
+		StackDepth: 12,
+		Calibrate:  o.calibrate,
+		MaxYield:   50 * time.Millisecond,
 		OnDeadlock: func(info monitor.DeadlockInfo) {
 			rt.AbortThreads(info.ThreadIDs...)
 		},
 	}
-	rt = core.MustNew(cfg)
+	rt = core.MustNewLab(cfg, core.Lab{IgnoreDecisions: o.ignore, ProbeDepth: o.probeDepth})
 	defer rt.Stop()
 
 	r := workload.NewRunner(rt, workload.Config{

@@ -90,7 +90,7 @@ func All() []Experiment {
 		{"fig8", "Overhead breakdown (Figure 8)", Fig8},
 		{"fig9", "False-positive overhead vs matching depth + gate/ghost locks (Figure 9)", Fig9},
 		{"resources", "Resource utilization (Section 7.4)", Resources},
-		{"ablation", "Design ablations (guard kind, thread identity, calibration)", Ablation},
+		{"ablation", "Design ablations (thread identity, calibration)", Ablation},
 	}
 }
 

@@ -26,7 +26,6 @@ func Resources(s Scale) Report {
 		heapBefore := heapAlloc()
 		rt := core.MustNew(core.Config{
 			Tau:        50 * time.Millisecond,
-			MaxThreads: n + 8,
 			StackDepth: 12,
 		})
 		r := workload.NewRunner(rt, workload.Config{

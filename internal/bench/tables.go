@@ -9,7 +9,7 @@ import (
 	"dimmunix/internal/simapp"
 )
 
-func recoveringRuntime(cfg core.Config) *core.Runtime {
+func recoveringRuntime(cfg core.Config, lab core.Lab) *core.Runtime {
 	var rt *core.Runtime
 	cfg.OnDeadlock = func(info monitor.DeadlockInfo) {
 		rt.AbortThreads(info.ThreadIDs...)
@@ -20,7 +20,7 @@ func recoveringRuntime(cfg core.Config) *core.Runtime {
 	if cfg.MaxYield == 0 {
 		cfg.MaxYield = 10 * time.Second
 	}
-	rt = core.MustNew(cfg)
+	rt = core.MustNewLab(cfg, lab)
 	return rt
 }
 
@@ -47,7 +47,7 @@ func Table1(s Scale) Report {
 		// needs to run repeated trials).
 		cfg1Deadlocks := 0
 		{
-			rt := recoveringRuntime(core.Config{Mode: core.ModeDataStructs})
+			rt := recoveringRuntime(core.Config{Mode: core.ModeDataStructs}, core.Lab{})
 			app := bug.New(rt)
 			for i := 0; i < trials; i++ {
 				if simapp.Deadlocked(app.Exploit(exploitHold)) {
@@ -59,7 +59,7 @@ func Table1(s Scale) Report {
 		// Config 2: full Dimmunix, decisions ignored.
 		cfg2Deadlocks := 0
 		{
-			rt := recoveringRuntime(core.Config{IgnoreDecisions: true})
+			rt := recoveringRuntime(core.Config{}, core.Lab{IgnoreDecisions: true})
 			app := bug.New(rt)
 			for i := 0; i < trials; i++ {
 				if simapp.Deadlocked(app.Exploit(exploitHold)) {
@@ -70,7 +70,7 @@ func Table1(s Scale) Report {
 		}
 		// Config 3: full Dimmunix; contract each pattern once, then run
 		// the immunized trials.
-		rt := recoveringRuntime(core.Config{})
+		rt := recoveringRuntime(core.Config{}, core.Lab{})
 		app := bug.New(rt)
 		for i := 0; i < bug.ReproduciblePatterns+6; i++ {
 			errs := app.Exploit(exploitHold)
@@ -149,7 +149,7 @@ func Table2(s Scale) Report {
 		Header: []string{"Class", "First run", "Immunized runs OK", "Yields"},
 	}
 	for _, inv := range collectionsInvitations() {
-		rt := recoveringRuntime(core.Config{MatchDepth: 2})
+		rt := recoveringRuntime(core.Config{MatchDepth: 2}, core.Lab{})
 		first := "completed"
 		errs := inv.run(rt, exploitHold)
 		if anyRecovered(errs) {

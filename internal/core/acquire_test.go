@@ -131,9 +131,7 @@ func tiers(t *testing.T, fn func(t *testing.T, rt *Runtime, th *Thread, guarded 
 	for _, guarded := range []bool{false, true} {
 		name := map[bool]string{false: "fast", true: "guarded"}[guarded]
 		t.Run(name, func(t *testing.T) {
-			cfg := testConfig()
-			cfg.DisableFastPath = guarded
-			rt := MustNew(cfg)
+			rt := MustNewLab(testConfig(), Lab{DisableFastPath: guarded})
 			defer rt.Stop()
 			th := rt.RegisterThread("pipeline")
 			defer th.Close()

@@ -45,26 +45,12 @@ const (
 	StrongImmunity
 )
 
-// GuardKind selects the §5.6 guard protecting the shared avoidance
-// structures.
-type GuardKind uint8
-
-const (
-	// GuardMutex uses sync.Mutex (default).
-	GuardMutex GuardKind = iota
-	// GuardSpin uses a test-and-set spin lock.
-	GuardSpin
-	// GuardFilter uses the generalized Peterson filter lock, the
-	// paper's lock-free construction. Requires MaxThreads slots.
-	GuardFilter
-)
-
 // DefaultMaxYield bounds how long a thread may be kept yielding to avoid a
 // pattern before it is forcibly released (§5.7 suggests e.g. 200 ms).
 const DefaultMaxYield = 200 * time.Millisecond
 
 // DefaultThreadTTL is how long an implicitly-registered goroutine may sit
-// idle before its thread slot is pruned (Config.ThreadTTL).
+// idle before it is pruned (Config.ThreadTTL).
 const DefaultThreadTTL = time.Minute
 
 // DefaultSyncInterval is the history-store sync cadence used when a
@@ -152,34 +138,18 @@ type Config struct {
 	Immunity ImmunityLevel
 	// Mode selects the instrumentation level.
 	Mode Mode
-	// IgnoreDecisions computes avoidance decisions but never yields
-	// (the Table 1 control configuration).
-	IgnoreDecisions bool
-	// ProbeDepth, when > 0, re-checks each avoidance at this depth and
-	// counts failures as probe false positives (§7.3 methodology).
-	ProbeDepth int
 	// MaxYield bounds one yield episode; 0 selects DefaultMaxYield,
 	// negative disables the bound.
 	MaxYield time.Duration
 	// AbortDisableThreshold auto-disables a signature after this many
 	// max-yield aborts (0 = never auto-disable).
 	AbortDisableThreshold uint64
-	// Guard selects the avoidance guard implementation.
-	Guard GuardKind
-	// DisableFastPath forces every request through the guarded §5.4
-	// protocol, disabling the epoch-validated safe-stack bypass. Used for
-	// benchmark baselines and differential testing.
-	DisableFastPath bool
-	// MaxThreads sizes the thread slot table (default 1024; the paper
-	// scales Dimmunix to 1024 threads).
-	MaxThreads int
 	// ThreadTTL bounds how long an idle implicitly-registered thread
 	// (CurrentThread with no explicit handle) stays registered: a
-	// goroutine quiescent for at least this long has its thread slot
-	// pruned and reclaimed, so goroutine-per-request servers do not grow
-	// the runtime maps unboundedly. Zero selects DefaultThreadTTL;
-	// negative disables pruning. Explicit RegisterThread handles are
-	// never pruned.
+	// goroutine quiescent for at least this long is pruned, so
+	// goroutine-per-request servers do not grow the runtime maps
+	// unboundedly. Zero selects DefaultThreadTTL; negative disables
+	// pruning. Explicit RegisterThread handles are never pruned.
 	ThreadTTL time.Duration
 	// StackDepth is the number of frames captured per lock operation
 	// (default 16; must be at least MatchDepth and the calibration max).
@@ -215,6 +185,23 @@ type Config struct {
 	EventBatch int
 }
 
+// Lab carries the knobs that exist for the paper's evaluation and for
+// differential testing rather than for operators. It is deliberately not
+// part of Config: only code inside this module (internal/bench, tests) can
+// name it.
+type Lab struct {
+	// IgnoreDecisions computes avoidance decisions but never yields
+	// (the Table 1 control configuration).
+	IgnoreDecisions bool
+	// ProbeDepth, when > 0, re-checks each avoidance at this depth and
+	// counts failures as probe false positives (§7.3 methodology).
+	ProbeDepth int
+	// DisableFastPath forces every request through the guarded §5.4
+	// protocol, disabling the epoch-validated safe-stack bypass: the
+	// reference path the differential tests compare the fast tier against.
+	DisableFastPath bool
+}
+
 // DefaultEventBatch is the default per-thread event batch size.
 const DefaultEventBatch = 64
 
@@ -230,9 +217,6 @@ func (c *Config) fill() {
 	}
 	if c.ShutdownTimeout == 0 {
 		c.ShutdownTimeout = DefaultShutdownTimeout
-	}
-	if c.MaxThreads <= 0 {
-		c.MaxThreads = 1024
 	}
 	if c.ThreadTTL == 0 {
 		c.ThreadTTL = DefaultThreadTTL

@@ -1,6 +1,6 @@
 // Tests for idle-thread pruning: goroutine-per-request churn must not
-// grow the runtime's thread registry or slot space without bound, and the
-// pin/retire protocol must be safe against concurrent implicit lookups.
+// grow the runtime's thread registry without bound, and the pin/retire
+// protocol must be safe against concurrent implicit lookups.
 package core
 
 import (
@@ -77,22 +77,58 @@ func TestPruneIdleThreadsReclaimsImplicitRegistrations(t *testing.T) {
 	}
 }
 
-func TestPruneReusesSlots(t *testing.T) {
+// TestManyLiveThreads: the number of simultaneously live threads has no
+// ceiling. 3000 explicit handles and 500 implicit goroutines are all
+// registered at once, each completes a Lock/Unlock, and the registry
+// drains to zero once they are closed / pruned.
+func TestManyLiveThreads(t *testing.T) {
+	const explicit, implicit = 3000, 500
 	rt := newPruneRT(t, Config{})
 	m := rt.NewMutex()
 
-	for round := 0; round < 20; round++ {
-		churn(t, rt, m, 10)
-		rt.PruneIdleThreads()
-		rt.PruneIdleThreads()
+	ths := make([]*Thread, explicit)
+	for i := range ths {
+		ths[i] = rt.RegisterThread("")
+		if err := m.LockT(ths[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.UnlockT(ths[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rt.slotMu.Lock()
-	next := rt.nextSlot
-	rt.slotMu.Unlock()
-	// 200 goroutines churned; without slot reuse nextSlot would exceed
-	// 200. With reuse it stays near the per-round high-water mark.
-	if next > 40 {
-		t.Fatalf("nextSlot = %d: pruned slots are not being reused", next)
+
+	var locked, exited sync.WaitGroup
+	release := make(chan struct{})
+	for i := 0; i < implicit; i++ {
+		locked.Add(1)
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			err := m.Lock()
+			if err == nil {
+				err = m.Unlock()
+			}
+			if err != nil {
+				t.Error(err)
+			}
+			locked.Done()
+			<-release // stay live until every goroutine is registered
+		}()
+	}
+	locked.Wait()
+	if got := rt.NumThreads(); got != explicit+implicit {
+		t.Errorf("NumThreads = %d with everything live, want %d", got, explicit+implicit)
+	}
+	close(release)
+	exited.Wait()
+
+	for _, th := range ths {
+		th.Close()
+	}
+	rt.PruneIdleThreads()
+	rt.PruneIdleThreads()
+	if got := rt.NumThreads(); got != 0 {
+		t.Fatalf("NumThreads = %d after Close/prune, want 0", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,6 @@ import (
 	"dimmunix/internal/histstore"
 	"dimmunix/internal/monitor"
 	"dimmunix/internal/obs"
-	"dimmunix/internal/peterson"
 	"dimmunix/internal/queue"
 	"dimmunix/internal/signature"
 	"dimmunix/internal/sigport"
@@ -45,7 +43,7 @@ type idShard struct {
 type Runtime struct {
 	cfg      Config
 	interner *stack.Interner
-	pcCache  *stack.PCCache // nil when DisableFastPath (legacy capture)
+	pcCache  *stack.PCCache // nil when Lab.DisableFastPath (legacy capture)
 	hist     *signature.History
 	store    histstore.Store // nil = in-memory-only history
 	ownStore bool            // the runtime opened store and closes it on Stop
@@ -79,12 +77,6 @@ type Runtime struct {
 	latGuarded obs.Histogram
 	latYield   obs.Histogram
 
-	// adminMu serializes admin-path users of adminSlot (the reserved
-	// avoidance-guard slot for diagnostics like HistorySummary), keeping
-	// the filter guard sound with at most one admin participant.
-	adminMu   sync.Mutex
-	adminSlot int
-
 	gidTab   [threadShards]gidShard
 	idTab    [threadShards]idShard
 	nThreads atomic.Int64
@@ -95,29 +87,18 @@ type Runtime struct {
 	// implicit-identity lookup.
 	sweep atomic.Int64
 
-	slotMu   sync.Mutex
-	slotFree []int
-	slotCool []coolSlot // pruned slots cooling down (filter guard only)
-	nextSlot int
-
 	stopped     atomic.Bool
 	janitorStop chan struct{}
 	janitorDone chan struct{}
 }
 
-// coolSlot is a pruned thread slot parked before reuse. Under the filter
-// guard a slot identifies a spin-level participant, so a slot freed by
-// pruning (rather than an explicit Close) only recycles after a full TTL,
-// in case a stale implicit handle still names it.
-type coolSlot struct {
-	slot int
-	at   time.Time
-}
-
 // New creates and starts a Runtime (resolves and loads the history
 // store, launches the monitor and — when a shared store is configured —
 // its sync loop).
-func New(cfg Config) (*Runtime, error) {
+func New(cfg Config) (*Runtime, error) { return NewLab(cfg, Lab{}) }
+
+// NewLab is New with the lab knobs set.
+func NewLab(cfg Config, lab Lab) (*Runtime, error) {
 	cfg.fill()
 
 	// Resolve the immunity store: explicit > spec (env plumbing) >
@@ -198,17 +179,15 @@ func New(cfg Config) (*Runtime, error) {
 	}
 
 	rt := &Runtime{
-		cfg:       cfg,
-		interner:  stack.NewInterner(),
-		hist:      hist,
-		store:     store,
-		ownStore:  ownStore,
-		q:         queue.New[event.Event](),
-		stats:     &avoidance.Stats{},
-		trace:     rec,
-		bus:       obs.New(cfg.EventBuffer, cfg.Observers),
-		nextSlot:  1, // slot 0 is reserved for the monitor/admin paths
-		adminSlot: cfg.MaxThreads + 2,
+		cfg:      cfg,
+		interner: stack.NewInterner(),
+		hist:     hist,
+		store:    store,
+		ownStore: ownStore,
+		q:        queue.New[event.Event](),
+		stats:    &avoidance.Stats{},
+		trace:    rec,
+		bus:      obs.New(cfg.EventBuffer, cfg.Observers),
 	}
 	// Every history mutation — archive, disable/enable, removal, sync
 	// merge, reload — feeds the observability stream (and the disable
@@ -232,7 +211,7 @@ func New(cfg Config) (*Runtime, error) {
 			})
 		}
 	})
-	if !cfg.DisableFastPath {
+	if !lab.DisableFastPath {
 		// The raw-PC capture cache is part of the fast tier; the disabled
 		// configuration keeps the full pre-refactor capture pipeline as a
 		// benchmark baseline.
@@ -245,27 +224,11 @@ func New(cfg Config) (*Runtime, error) {
 		rt.idTab[i].m = make(map[int32]*Thread)
 	}
 
-	// Slot 0 is the monitor's; MaxThreads+1 is the sync domain's (sync
-	// loop / SyncNow / Stop publish, serialized among themselves by the
-	// monitor's syncMu); MaxThreads+2 is the admin domain's (diagnostic
-	// reads like HistorySummary, serialized by adminMu). The filter
-	// guard needs a seat for each.
-	syncSlot := cfg.MaxThreads + 1
-	var guard peterson.Guard // nil selects sync.Mutex
-	switch cfg.Guard {
-	case GuardSpin:
-		guard = peterson.NewSpin()
-	case GuardFilter:
-		guard = peterson.NewFilter(cfg.MaxThreads + 3)
-	}
-
 	rt.cache = avoidance.NewCache(avoidance.Config{
-		Guard:           guard,
-		DisableFastPath: cfg.DisableFastPath,
+		DisableFastPath: lab.DisableFastPath,
 		Mode:            cfg.avoidanceMode(),
-		IgnoreDecisions: cfg.IgnoreDecisions,
-		ProbeDepth:      cfg.ProbeDepth,
-		MaxThreads:      cfg.MaxThreads,
+		IgnoreDecisions: lab.IgnoreDecisions,
+		ProbeDepth:      lab.ProbeDepth,
 		DiscardObsolete: cfg.DiscardObsolete,
 		EventBatch:      cfg.EventBatch,
 		Bus:             rt.bus,
@@ -303,7 +266,6 @@ func New(cfg Config) (*Runtime, error) {
 		SyncRoundTimeout: cfg.SyncRoundTimeout,
 		PortRules:        cfg.SyncPortRules,
 		Fingerprint:      cfg.BuildFingerprint,
-		SyncSlot:         syncSlot,
 		Trace:            rec,
 		OnDeadlock:       onDeadlock,
 		OnStarvation:     cfg.OnStarvation,
@@ -326,8 +288,11 @@ func New(cfg Config) (*Runtime, error) {
 }
 
 // MustNew is New that panics on error (for examples and tests).
-func MustNew(cfg Config) *Runtime {
-	rt, err := New(cfg)
+func MustNew(cfg Config) *Runtime { return MustNewLab(cfg, Lab{}) }
+
+// MustNewLab is NewLab that panics on error.
+func MustNewLab(cfg Config, lab Lab) *Runtime {
+	rt, err := NewLab(cfg, lab)
 	if err != nil {
 		panic(err)
 	}
@@ -430,7 +395,7 @@ func (rt *Runtime) RegisterThread(name string) *Thread {
 	id := rt.nextTID.Add(1)
 	t := &Thread{
 		rt:    rt,
-		ts:    rt.cache.NewThread(id, rt.allocSlot(), name),
+		ts:    rt.cache.NewThread(id, 0, name),
 		abort: make(chan struct{}),
 	}
 	sh := &rt.idTab[uint32(id)%threadShards]
@@ -439,37 +404,6 @@ func (rt *Runtime) RegisterThread(name string) *Thread {
 	sh.mu.Unlock()
 	rt.nThreads.Add(1)
 	return t
-}
-
-func (rt *Runtime) allocSlot() int {
-	rt.slotMu.Lock()
-	defer rt.slotMu.Unlock()
-	if n := len(rt.slotFree); n > 0 {
-		slot := rt.slotFree[n-1]
-		rt.slotFree = rt.slotFree[:n-1]
-		return slot
-	}
-	if len(rt.slotCool) > 0 && time.Since(rt.slotCool[0].at) > rt.cfg.ThreadTTL {
-		slot := rt.slotCool[0].slot
-		rt.slotCool = rt.slotCool[1:]
-		return slot
-	}
-	if rt.cfg.Guard == GuardFilter && rt.nextSlot > rt.cfg.MaxThreads {
-		panic(fmt.Sprintf("dimmunix: more than MaxThreads=%d live threads with the filter guard", rt.cfg.MaxThreads))
-	}
-	slot := rt.nextSlot
-	rt.nextSlot++
-	return slot
-}
-
-func (rt *Runtime) freeSlot(slot int, pruned bool) {
-	rt.slotMu.Lock()
-	defer rt.slotMu.Unlock()
-	if pruned && rt.cfg.Guard == GuardFilter {
-		rt.slotCool = append(rt.slotCool, coolSlot{slot: slot, at: time.Now()})
-		return
-	}
-	rt.slotFree = append(rt.slotFree, slot)
 }
 
 // CurrentThread returns the calling goroutine's thread handle,
@@ -552,10 +486,10 @@ func (rt *Runtime) AbortThreads(ids ...int32) {
 	}
 }
 
-// removeThread detaches a thread from the registry, cleans its avoidance
-// state, and recycles its slot. Idempotent: the explicit Close path and
-// the pruner may race, and exactly one side wins.
-func (rt *Runtime) removeThread(t *Thread, pruned bool) {
+// removeThread detaches a thread from the registry and cleans its
+// avoidance state. Idempotent: the explicit Close path and the pruner may
+// race, and exactly one side wins.
+func (rt *Runtime) removeThread(t *Thread) {
 	if !t.released.CompareAndSwap(false, true) {
 		return
 	}
@@ -576,7 +510,6 @@ func (rt *Runtime) removeThread(t *Thread, pruned bool) {
 		}
 		gsh.mu.Unlock()
 	}
-	rt.freeSlot(t.ts.Slot, pruned)
 	rt.nThreads.Add(-1)
 }
 
@@ -627,7 +560,7 @@ func (rt *Runtime) janitor(interval time.Duration) {
 // The janitor calls this every ThreadTTL (so a thread is pruned between
 // one and two TTLs after its last use); tests and servers that just
 // drained a goroutine flood may call it directly (twice, for brand-new
-// idle threads) to reclaim slots immediately.
+// idle threads) to reclaim them immediately.
 func (rt *Runtime) PruneIdleThreads() int {
 	cutoff := rt.sweep.Add(1) - 2
 	pruned := 0
@@ -663,7 +596,7 @@ func (rt *Runtime) pruneThread(t *Thread, cutoff int64) bool {
 		t.retired.Store(false)
 		return false
 	}
-	rt.removeThread(t, true)
+	rt.removeThread(t)
 	return true
 }
 

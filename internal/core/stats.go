@@ -241,15 +241,12 @@ type HistorySummary struct {
 
 // HistorySummary snapshots the live history for diagnostics. The
 // mutable per-signature fields are owned by the avoidance guard, so the
-// read runs inside the full decision scope on the runtime's dedicated
-// admin slot (serialized by adminMu, sound under the filter guard) —
-// call it at human cadence, not per request.
+// read runs inside the full decision scope — call it at human cadence,
+// not per request.
 func (rt *Runtime) HistorySummary() HistorySummary {
 	sigYields := rt.stats.YieldsBySignature()
 	out := HistorySummary{Epoch: rt.hist.Danger().Epoch(), Fingerprint: rt.hist.Fingerprint()}
-	rt.adminMu.Lock()
-	defer rt.adminMu.Unlock()
-	rt.cache.WithGuard(rt.adminSlot, func() {
+	rt.cache.WithGuard(func() {
 		for _, s := range rt.hist.Snapshot() {
 			out.Signatures = append(out.Signatures, SignatureSummary{
 				ID:          s.ID,

@@ -98,7 +98,7 @@ func (t *Thread) Priority() int32 { return t.ts.Priority.Load() }
 // graph. The thread must not hold any Dimmunix mutex. Closing a thread
 // the idle pruner already retired is a no-op.
 func (t *Thread) Close() {
-	t.rt.removeThread(t, false)
+	t.rt.removeThread(t)
 }
 
 // signalAbort makes the thread's pending (and next) lock wait fail with

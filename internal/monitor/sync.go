@@ -192,7 +192,7 @@ func (m *Monitor) syncOnce(ctx context.Context) error {
 			}
 			// The join may adopt disabled/revision state onto live
 			// signatures the avoidance matchers read — guard scope.
-			m.cache.WithGuard(m.cfg.SyncSlot, func() {
+			m.cache.WithGuard(func() {
 				pulled = m.hist.Merge(remote)
 			})
 			if pulled > 0 {
@@ -263,7 +263,7 @@ func (s *syncer) noteRoundError(err error) {
 // holding the guard across store I/O.
 func (m *Monitor) snapshotForStore() *signature.History {
 	var snap *signature.History
-	m.cache.WithGuard(m.cfg.SyncSlot, func() {
+	m.cache.WithGuard(func() {
 		snap = m.hist.CloneForStore()
 	})
 	return snap

@@ -9,7 +9,7 @@ import (
 // The capture-only microbench ladder: what one raw PC walk costs at
 // several call depths, for each capture strategy. This isolates the
 // mandatory per-operation cost the fast tier pays before any caching —
-// the BENCH_fastpath.json capture ladder is regenerated from these.
+// the capture ladder quoted in README "Performance" comes from these.
 //
 // "full" is the pre-shallow-capture behavior (MaxCaptureDepth buffer),
 // "shallow" the depth-bounded walk the classification table now uses,

@@ -100,11 +100,6 @@ func WithImmunity(l ImmunityLevel) Option {
 	return func(c *Config) { c.Immunity = l }
 }
 
-// WithGuard selects the §5.6 avoidance guard implementation.
-func WithGuard(g GuardKind) Option {
-	return func(c *Config) { c.Guard = g }
-}
-
 // WithMatchDepth sets the matching depth recorded in new signatures
 // (§5.5; default 4).
 func WithMatchDepth(d int) Option {
@@ -129,23 +124,11 @@ func WithMaxYield(d time.Duration) Option {
 }
 
 // WithThreadTTL bounds how long an idle implicitly-registered goroutine
-// keeps its thread slot before the runtime prunes and recycles it
-// (default one minute; negative disables pruning). Explicit
+// stays registered before the runtime prunes it (default one minute;
+// negative disables pruning). Explicit
 // RegisterThread handles are never pruned.
 func WithThreadTTL(d time.Duration) Option {
 	return func(c *Config) { c.ThreadTTL = d }
-}
-
-// WithoutFastPath forces every lock request through the guarded §5.4
-// protocol, disabling the epoch-validated safe-stack bypass — for
-// benchmark baselines and differential testing.
-func WithoutFastPath() Option {
-	return func(c *Config) { c.DisableFastPath = true }
-}
-
-// WithMaxThreads sizes the thread slot table (default 1024).
-func WithMaxThreads(n int) Option {
-	return func(c *Config) { c.MaxThreads = n }
 }
 
 // WithStackDepth sets the number of frames captured per lock operation.
@@ -224,12 +207,6 @@ func WithTraceRecorder(path string) Option {
 // DIMMUNIX_TRACE_MAX_BYTES.
 func WithTraceMaxBytes(n int64) Option {
 	return func(c *Config) { c.TraceMaxBytes = n }
-}
-
-// WithIgnoreDecisions computes avoidance decisions but never yields
-// (the Table 1 control configuration).
-func WithIgnoreDecisions() Option {
-	return func(c *Config) { c.IgnoreDecisions = true }
 }
 
 // WithDiscardObsolete removes signatures whose completed calibration

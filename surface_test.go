@@ -7,7 +7,12 @@ package dimmunix_test
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -216,6 +221,70 @@ func TestInitRejectsMalformedEnv(t *testing.T) {
 	t.Cleanup(func() { dimmunix.Shutdown() })
 	if err := dimmunix.Init(); err == nil {
 		t.Fatal("Init accepted DIMMUNIX_MODE=sideways")
+	}
+}
+
+// TestPublicSurfaceDrift pins the configuration surface: the lab-only
+// knobs stay off Config, and the README Options table, the With*
+// constructors in options.go, the DIMMUNIX_* variables the code reads and
+// default.go's env doc block all list the same names.
+func TestPublicSurfaceDrift(t *testing.T) {
+	cfg := reflect.TypeOf(dimmunix.Config{})
+	for _, name := range []string{"Guard", "MaxThreads", "IgnoreDecisions", "ProbeDepth", "DisableFastPath"} {
+		if _, ok := cfg.FieldByName(name); ok {
+			t.Errorf("Config.%s is back on the public surface", name)
+		}
+	}
+
+	read := func(path string) string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	names := func(text, pattern string) []string {
+		seen := map[string]bool{}
+		for _, m := range regexp.MustCompile(pattern).FindAllStringSubmatch(text, -1) {
+			seen[m[1]] = true
+		}
+		out := make([]string, 0, len(seen))
+		for n := range seen {
+			out = append(out, n)
+		}
+		sort.Strings(out)
+		return out
+	}
+
+	readme := read("README.md")
+	_, table, ok := strings.Cut(readme, "\n## Options\n")
+	if !ok {
+		t.Fatal("README has no Options section")
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+	var optCol, envCol string
+	for _, line := range strings.Split(table, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) >= 4 {
+			optCol += cells[1] + "\n"
+			envCol += cells[2] + "\n"
+		}
+	}
+
+	defaults := read("default.go")
+	// DIMMUNIX_SYNC_TOKEN is read where the HTTP store is opened.
+	envRead := names(defaults+read("internal/histstore/store.go"), `"(DIMMUNIX_[A-Z_]+)"`)
+	for _, c := range []struct {
+		what      string
+		got, want []string
+	}{
+		{"README With* rows vs options.go", names(optCol, `(With[A-Za-z]+)\(`), names(read("options.go"), `(?m)^func (With[A-Za-z]+)\(`)},
+		{"README env column vs variables read", names(envCol, `(DIMMUNIX_[A-Z_]+)`), envRead},
+		{"default.go env doc block vs variables read", names(defaults, `(?m)^//\t(DIMMUNIX_[A-Z_]+)`), envRead},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s:\n got  %v\n want %v", c.what, c.got, c.want)
+		}
 	}
 }
 
