@@ -3,8 +3,7 @@
 // allocations per operation (amortized: the per-thread event buffer
 // publishes one pooled carrier to the monitor queue every EventBatch
 // operations, so the per-op average stays well under one). The guarded
-// tier symbolizes stacks per operation when the fast path is disabled;
-// its budget is bounded, not zero.
+// tier's budget is bounded, not zero.
 //
 // testing.AllocsPerRun counts process-wide mallocs, so the runtimes here
 // are configured with an effectively-idle monitor (huge Tau) and pruning
@@ -18,6 +17,7 @@ import (
 
 	"dimmunix"
 	"dimmunix/internal/core"
+	"dimmunix/internal/workload"
 )
 
 func allocRT(t *testing.T, cfg dimmunix.Config) *dimmunix.Runtime {
@@ -34,32 +34,96 @@ func allocRTLab(t *testing.T, cfg dimmunix.Config, lab core.Lab) *dimmunix.Runti
 	return rt
 }
 
+// allocSite runs one Lock/Unlock pair at the end of one of 4^depth call
+// paths selected by path's base-4 digits, least significant innermost:
+// every level is a distinct call line and the leaf a distinct lock line,
+// so paths below 4^k differ within the innermost k frames — the ones a
+// depth-bounded capture keys on — and share the levels above them.
+//
+//go:noinline
+func allocSite(t *testing.T, path, depth int, m *dimmunix.CoreMutex, th *dimmunix.Thread) {
+	digit := path >> (2 * (depth - 1)) & 3
+	if depth > 1 {
+		switch digit {
+		case 0:
+			allocSite(t, path, depth-1, m, th)
+		case 1:
+			allocSite(t, path, depth-1, m, th)
+		case 2:
+			allocSite(t, path, depth-1, m, th)
+		default:
+			allocSite(t, path, depth-1, m, th)
+		}
+		return
+	}
+	var err error
+	switch digit {
+	case 0:
+		err = m.LockT(th)
+	case 1:
+		err = m.LockT(th)
+	case 2:
+		err = m.LockT(th)
+	default:
+		err = m.LockT(th)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = m.UnlockT(th)
+}
+
 // TestFastPathLockUnlockZeroAllocs: uncontended fast-tier Mutex
-// Lock/Unlock allocates nothing per operation.
+// Lock/Unlock allocates nothing per operation — on one call path, under a
+// populated history whose signatures it matches none of, and round-robin
+// from one thread over 256 call paths (the svc_sites shape: every
+// operation is a call-site table hit on a different depth-bounded key).
 func TestFastPathLockUnlockZeroAllocs(t *testing.T) {
-	rt := allocRT(t, dimmunix.Config{Mode: dimmunix.ModeFull})
-	th := rt.RegisterThread("alloc")
-	defer th.Close()
-	m := rt.NewMutex()
-	// Warm the per-goroutine classification table, the PC cache, the
-	// interner, and the thread's first event-buffer slab.
-	for i := 0; i < 200; i++ {
-		if err := m.LockT(th); err != nil {
-			t.Fatal(err)
-		}
-		_ = m.UnlockT(th)
-	}
-	avg := testing.AllocsPerRun(2000, func() {
-		if err := m.LockT(th); err != nil {
-			t.Fatal(err)
-		}
-		_ = m.UnlockT(th)
-	})
-	if avg >= 1 {
-		t.Fatalf("fast-tier Lock/Unlock allocates: %.3f allocs/op (want < 1, i.e. 0 at -benchmem resolution)", avg)
-	}
-	if rt.Stats().FastGos == 0 {
-		t.Fatal("measurement never took the fast tier")
+	for _, row := range []struct {
+		name        string
+		sigs, paths int
+	}{
+		{"empty-history", 0, 1},
+		{"32-signatures", 32, 1},
+		{"32-signatures-256-paths", 32, 256},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rt := allocRT(t, dimmunix.Config{Mode: dimmunix.ModeFull})
+			if row.sigs > 0 {
+				r := workload.NewRunner(rt, workload.Config{Threads: 2, Locks: 8})
+				withHistory(t, rt, r, row.sigs, 4)
+			}
+			th := rt.RegisterThread("alloc")
+			defer th.Close()
+			m := rt.NewMutex()
+			next := 0
+			// Twice as deep as the paths vary: a depth-bounded key (a few
+			// frames longer under -tags dimmunix.fp, whose walker does
+			// not see inlined wrappers) stays inside allocSite's frames,
+			// so it does not depend on who calls pair.
+			pair := func() {
+				allocSite(t, next%row.paths, 8, m, th)
+				next++
+			}
+			// Warm the call-site table, the interner and the thread's
+			// first event-buffer slab: the first pair also settles the
+			// capture bound, then one round visits every path.
+			stacks := len(rt.CapturedStacks())
+			for i := 0; i < 1+row.paths; i++ {
+				pair()
+			}
+			if got := len(rt.CapturedStacks()) - stacks; got != row.paths {
+				t.Fatalf("warm-up round captured %d distinct stacks, want %d", got, row.paths)
+			}
+			fast := rt.Stats().FastGos
+			const runs = 2048
+			if avg := testing.AllocsPerRun(runs, pair); avg >= 1 {
+				t.Fatalf("fast-tier Lock/Unlock allocates: %.3f allocs/op (want < 1, i.e. 0 at -benchmem resolution)", avg)
+			}
+			if got := rt.Stats().FastGos - fast; got < runs {
+				t.Fatalf("%d of %d measured operations took the fast tier", got, runs)
+			}
+		})
 	}
 }
 
@@ -138,9 +202,9 @@ func TestFastPathTimedAndCtxZeroAllocs(t *testing.T) {
 }
 
 // TestGuardedPathAllocBudget bounds the guarded tier: with the fast path
-// disabled every operation runs the full §5.4 protocol and — without the
-// PC cache — symbolizes its stack. That costs allocations by design; this
-// test only pins the budget so regressions surface.
+// disabled every operation runs the full §5.4 protocol. That costs
+// allocations by design; this test only pins the budget so regressions
+// surface.
 func TestGuardedPathAllocBudget(t *testing.T) {
 	rt := allocRTLab(t, dimmunix.Config{Mode: dimmunix.ModeFull}, core.Lab{DisableFastPath: true})
 	th := rt.RegisterThread("alloc-guarded")

@@ -6,8 +6,6 @@ package dimmunix_test
 
 import (
 	"fmt"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,7 +41,7 @@ func newRTLab(b *testing.B, cfg dimmunix.Config, lab core.Lab) *dimmunix.Runtime
 
 // withHistory populates rt with h synthesized two-stack signatures drawn
 // from a short workload warmup.
-func withHistory(b *testing.B, rt *dimmunix.Runtime, r *workload.Runner, h, depth int) {
+func withHistory(b testing.TB, rt *dimmunix.Runtime, r *workload.Runner, h, depth int) {
 	b.Helper()
 	r.Warmup(100 * time.Millisecond)
 	hist, err := workload.SynthesizeHistory(rt.CapturedStacks(), h, 2, depth, 7)
@@ -288,218 +286,8 @@ func BenchmarkFig9_GateLockEnterExit(b *testing.B) {
 	}
 }
 
-// --- Ablations (thread identity) -------------------------------------------
-
-func BenchmarkAblationThreadIDExplicit(b *testing.B) {
-	rt := newRT(b, dimmunix.Config{})
-	th := rt.RegisterThread("bench")
-	defer th.Close()
-	m := rt.NewMutex()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.LockT(th)
-		_ = m.UnlockT(th)
-	}
-}
-
-func BenchmarkAblationThreadIDImplicit(b *testing.B) {
-	rt := newRT(b, dimmunix.Config{})
-	m := rt.NewMutex()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Lock()
-		_ = m.Unlock()
-	}
-}
+// --- Ablations -----------------------------------------------------------
 
 func BenchmarkAblationCalibrationOn(b *testing.B) {
 	lockOpBench(b, dimmunix.Config{Calibrate: true}, 64)
-}
-
-// --- Drop-in surface ------------------------------------------------------
-// The zero-value path = implicit thread identity + one facade indirection
-// over the explicit LockT fast path measured above.
-
-func initDefaultBench(b *testing.B) {
-	b.Helper()
-	_ = dimmunix.Shutdown()
-	if err := dimmunix.Init(dimmunix.WithTau(50 * time.Millisecond)); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { dimmunix.Shutdown() })
-}
-
-func BenchmarkDropInMutex(b *testing.B) {
-	initDefaultBench(b)
-	var mu dimmunix.Mutex
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mu.Lock()
-		mu.Unlock()
-	}
-}
-
-func BenchmarkDropInRWMutexWrite(b *testing.B) {
-	initDefaultBench(b)
-	var rw dimmunix.RWMutex
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rw.Lock()
-		rw.Unlock()
-	}
-}
-
-func BenchmarkDropInRWMutexRead(b *testing.B) {
-	initDefaultBench(b)
-	var rw dimmunix.RWMutex
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rw.RLock()
-		rw.RUnlock()
-	}
-}
-
-// --- Fast-path parallel contention suite ---------------------------------
-//
-// The two-tier refactor's target workload: many goroutines, each on its
-// own (uncontended) mutex, so the only contention is the instrumentation
-// path itself. The *Guarded variants disable the lock-free safe-stack
-// bypass, measuring the pre-refactor global-guard protocol on identical
-// hardware — the ns/op ratio at 8+ goroutines is the acceptance metric.
-// "Populated" variants carry 32 non-matching signatures, proving the fast
-// tier's classification holds up with a live danger index.
-
-var parallelLadder = []int{1, 2, 8, 32, 128}
-
-func benchLockParallel(b *testing.B, cfg dimmunix.Config, lab core.Lab, hsigs, g int) {
-	rt := newRTLab(b, cfg, lab)
-	if hsigs > 0 && cfg.Mode != dimmunix.ModeOff {
-		r := workload.NewRunner(rt, workload.Config{Threads: 2, Locks: 8})
-		withHistory(b, rt, r, hsigs, 4)
-	}
-	ths := make([]*dimmunix.Thread, g)
-	ms := make([]*dimmunix.CoreMutex, g)
-	for i := range ths {
-		ths[i] = rt.RegisterThread("bench")
-		ms[i] = rt.NewMutex()
-	}
-	b.Cleanup(func() {
-		for _, th := range ths {
-			th.Close()
-		}
-	})
-	per := b.N / g
-	if per == 0 {
-		per = 1
-	}
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for i := 0; i < g; i++ {
-		wg.Add(1)
-		go func(th *dimmunix.Thread, m *dimmunix.CoreMutex) {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				if err := m.LockT(th); err != nil {
-					b.Error(err)
-					return
-				}
-				if err := m.UnlockT(th); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(ths[i], ms[i])
-	}
-	wg.Wait()
-	b.StopTimer()
-	if !lab.DisableFastPath && cfg.Mode == dimmunix.ModeFull && rt.Stats().FastGos == 0 {
-		b.Fatal("fast-path benchmark never took the fast tier")
-	}
-	if lab.DisableFastPath && rt.Stats().FastGos != 0 {
-		b.Fatal("guarded baseline leaked onto the fast tier")
-	}
-}
-
-func runParallelLadder(b *testing.B, cfg dimmunix.Config, lab core.Lab, hsigs int) {
-	for _, g := range parallelLadder {
-		b.Run(fmt.Sprintf("g%d", g), func(b *testing.B) {
-			benchLockParallel(b, cfg, lab, hsigs, g)
-		})
-	}
-}
-
-// BenchmarkLockUncontendedParallel is the tentpole metric: empty history,
-// lock-free fast tier on.
-func BenchmarkLockUncontendedParallel(b *testing.B) {
-	runParallelLadder(b, dimmunix.Config{Mode: dimmunix.ModeFull}, core.Lab{}, 0)
-}
-
-// BenchmarkLockUncontendedParallelGuarded is the pre-refactor path: every
-// request runs the guarded §5.4 protocol.
-func BenchmarkLockUncontendedParallelGuarded(b *testing.B) {
-	runParallelLadder(b, dimmunix.Config{Mode: dimmunix.ModeFull}, core.Lab{DisableFastPath: true}, 0)
-}
-
-// BenchmarkLockUncontendedParallelPopulated keeps 32 signatures in the
-// history; the bench call sites match none of them, so the fast tier
-// still applies (one marker check against the live danger index).
-func BenchmarkLockUncontendedParallelPopulated(b *testing.B) {
-	runParallelLadder(b, dimmunix.Config{Mode: dimmunix.ModeFull}, core.Lab{}, 32)
-}
-
-// BenchmarkLockUncontendedParallelGuardedPopulated: pre-refactor path
-// with 32 signatures (index refresh + reverse-index lookups under the
-// global guard).
-func BenchmarkLockUncontendedParallelGuardedPopulated(b *testing.B) {
-	runParallelLadder(b, dimmunix.Config{Mode: dimmunix.ModeFull}, core.Lab{DisableFastPath: true}, 32)
-}
-
-// BenchmarkLockUncontendedParallelTraced: fast tier on with trace mode
-// journaling every acquisition for the offline predictor. The recorder
-// hangs off the monitor's drain loop, so the caller-visible cost must
-// stay at fast-tier level; the acceptance cap is the guarded baseline —
-// if tracing ever costs more than the pre-refactor protocol, it is not
-// an always-on-capable canary mode.
-func BenchmarkLockUncontendedParallelTraced(b *testing.B) {
-	for _, g := range parallelLadder {
-		b.Run(fmt.Sprintf("g%d", g), func(b *testing.B) {
-			benchLockParallel(b, dimmunix.Config{
-				Mode:      dimmunix.ModeFull,
-				TracePath: filepath.Join(b.TempDir(), "bench.trace"),
-			}, core.Lab{}, 0, g)
-		})
-	}
-}
-
-// BenchmarkLockBareMutexParallel is the uninstrumented floor: the same
-// goroutine/mutex ladder as BenchmarkLockUncontendedParallel over bare
-// sync.Mutex. The gap between this and the fast tier is the total cost
-// of immunity on the uncontended path (stack walk, classification,
-// buffered bookkeeping).
-func BenchmarkLockBareMutexParallel(b *testing.B) {
-	for _, g := range parallelLadder {
-		b.Run(fmt.Sprintf("g%d", g), func(b *testing.B) {
-			ms := make([]*sync.Mutex, g)
-			for i := range ms {
-				ms[i] = new(sync.Mutex)
-			}
-			per := b.N / g
-			if per == 0 {
-				per = 1
-			}
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for i := 0; i < g; i++ {
-				wg.Add(1)
-				go func(m *sync.Mutex) {
-					defer wg.Done()
-					for j := 0; j < per; j++ {
-						m.Lock()
-						m.Unlock() //nolint:staticcheck // empty critical section is the point
-					}
-				}(ms[i])
-			}
-			wg.Wait()
-		})
-	}
 }

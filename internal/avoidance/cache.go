@@ -352,13 +352,13 @@ func clearYieldRegs(t *ThreadState) {
 	t.yieldSig = nil
 }
 
-// classifySafe reports whether in is provably safe under the live danger
+// ClassifySafe reports whether in is provably safe under the live danger
 // index: its innermost frame cannot match any enabled signature stack at
 // any depth. The verdict is cached in the interned stack's marker and
 // self-invalidates when the history epoch moves (AddSignature,
 // SetDisabled, Remove, ReplaceAll — including ReloadHistory's §8
 // hot-patch — all publish a fresh index).
-func (c *Cache) classifySafe(in *stack.Interned) bool {
+func (c *Cache) ClassifySafe(in *stack.Interned) bool {
 	idx := c.hist.Danger()
 	if ep, dangerous := in.Marker(); ep == idx.Epoch() {
 		return !dangerous
@@ -368,16 +368,9 @@ func (c *Cache) classifySafe(in *stack.Interned) bool {
 	return !dangerous
 }
 
-// ClassifySafe exposes the marker-cached safe/dangerous verdict, for the
-// per-thread classification table kept by the core layer.
-func (c *Cache) ClassifySafe(in *stack.Interned) bool { return c.classifySafe(in) }
-
 // FastOK reports whether this cache admits the lock-free fast tier at all
 // (full mode, decisions honored, fast path not disabled).
 func (c *Cache) FastOK() bool { return c.fastOK }
-
-// DangerEpoch returns the live danger-index epoch.
-func (c *Cache) DangerEpoch() uint64 { return c.hist.Danger().Epoch() }
 
 // DangerView returns the live danger-index epoch together with its
 // published shallow-capture depth, from a single index load so the two
@@ -446,7 +439,7 @@ func (c *Cache) FlushBuffers() {
 // A pending ForceGo is not consumed on this tier: it stays armed for the
 // thread's next guarded request, which is where yields happen.
 func (c *Cache) FastEligible(in *stack.Interned) bool {
-	return c.fastOK && c.classifySafe(in)
+	return c.fastOK && c.ClassifySafe(in)
 }
 
 // FastAcquiredImmediate records an uncontended fast-tier acquisition: the
@@ -481,7 +474,7 @@ func (c *Cache) NoteFastHold(t *ThreadState, l *LockState, in *stack.Interned, s
 	t.fhMu.Lock()
 	t.fastHolds = append(t.fastHolds, fastHold{l: l, st: in, shared: shared})
 	t.fhMu.Unlock()
-	if !c.classifySafe(in) {
+	if !c.ClassifySafe(in) {
 		// The danger index moved between classification and the log
 		// append, and this stack is dangerous under the new epoch — the
 		// epoch's adoption pass may already have run, so reconcile this
@@ -773,7 +766,7 @@ func (c *Cache) acquired(t *ThreadState, l *LockState, shared bool) {
 func (c *Cache) ReentrantAcquired(t *ThreadState, l *LockState, in *stack.Interned) bool {
 	c.stats.Reentries.Add(1)
 	t.liveHolds.Add(1)
-	if c.fastOK && c.classifySafe(in) {
+	if c.fastOK && c.ClassifySafe(in) {
 		c.stats.FastGos.Add(1)
 		c.bufEmit(t, event.Acquired, l.ID, in)
 		return true

@@ -27,7 +27,7 @@ import (
 func assertNeverBypasses(t *testing.T, c *Cache, hist *signature.History, probes []*stack.Interned, maxDepth int) {
 	t.Helper()
 	for _, in := range probes {
-		if !c.classifySafe(in) {
+		if !c.ClassifySafe(in) {
 			continue
 		}
 		for _, sig := range hist.Snapshot() {
@@ -109,7 +109,7 @@ func TestFastPathDifferentialRandom(t *testing.T) {
 					e.c.Acquired(adv, al)
 				}
 			}
-			fast := e.c.fastOK && e.c.classifySafe(in)
+			fast := e.c.fastOK && e.c.ClassifySafe(in)
 			dec := e.c.Request(th, l, in)
 			if fast && !dec.Go {
 				t.Fatalf("round %d: fast tier would GO but guarded path yields on %q (sig %v)", round, in.S, dec.Sig)
@@ -157,36 +157,36 @@ func TestFastMarkerInvalidatesOnHistoryMutation(t *testing.T) {
 	s := e.stk("lock", "handler", "main")
 	other := e.stk("lock", "other", "main")
 
-	if !e.c.classifySafe(s) {
+	if !e.c.ClassifySafe(s) {
 		t.Fatal("empty history: everything is safe")
 	}
 
 	// Add: the stack's innermost frame joins the danger set.
 	sig := e.addSig(2, s, other)
-	if e.c.classifySafe(s) {
+	if e.c.ClassifySafe(s) {
 		t.Fatal("classification survived AddSignature")
 	}
 
 	// Disable: the signature no longer counts.
 	e.hist.SetDisabled(sig.ID, true)
-	if !e.c.classifySafe(s) {
+	if !e.c.ClassifySafe(s) {
 		t.Fatal("disabled signature still poisons the fast tier")
 	}
 	e.hist.SetDisabled(sig.ID, false)
-	if e.c.classifySafe(s) {
+	if e.c.ClassifySafe(s) {
 		t.Fatal("re-enabled signature not seen by the fast tier")
 	}
 
 	// ReplaceAll (the ReloadHistory §8 path): swap in an empty set, then
 	// one matching again.
 	e.hist.ReplaceAll(signature.NewHistory())
-	if !e.c.classifySafe(s) {
+	if !e.c.ClassifySafe(s) {
 		t.Fatal("ReplaceAll(empty) did not clear the danger index")
 	}
 	fresh := signature.NewHistory()
 	fresh.Add(signature.New(signature.Deadlock, []stack.Stack{s.S, other.S}, 3))
 	e.hist.ReplaceAll(fresh)
-	if e.c.classifySafe(s) {
+	if e.c.ClassifySafe(s) {
 		t.Fatal("ReplaceAll(matching) not observed by the fast tier")
 	}
 }
@@ -250,11 +250,11 @@ func TestFastPathReloadUnderRace(t *testing.T) {
 		for enabled := range syncCh {
 			// Receiving establishes happens-after the mutation below;
 			// the mutator waits for the ack before mutating again.
-			if got := c.classifySafe(danger); got != !enabled {
-				t.Errorf("after reload(enabled=%v): classifySafe(danger) = %v", enabled, got)
+			if got := c.ClassifySafe(danger); got != !enabled {
+				t.Errorf("after reload(enabled=%v): ClassifySafe(danger) = %v", enabled, got)
 				return
 			}
-			if !c.classifySafe(safe) {
+			if !c.ClassifySafe(safe) {
 				t.Error("safe stack misclassified after reload")
 				return
 			}
@@ -270,7 +270,7 @@ func TestFastPathReloadUnderRace(t *testing.T) {
 			hist.ReplaceAll(empty)
 		}
 		// Sequential guarantee on the mutating goroutine itself.
-		if got := c.classifySafe(danger); got != !enabled {
+		if got := c.ClassifySafe(danger); got != !enabled {
 			t.Fatalf("iteration %d: classification did not track ReplaceAll (enabled=%v, safe=%v)", i, enabled, got)
 		}
 		select {

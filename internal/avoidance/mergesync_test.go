@@ -87,10 +87,10 @@ func TestFastPathMergeUnderRace(t *testing.T) {
 		if hist.Merge(remote) == 0 {
 			t.Fatalf("iteration %d: merge applied nothing", i)
 		}
-		if c.classifySafe(danger) {
+		if c.ClassifySafe(danger) {
 			t.Fatalf("iteration %d: fast tier kept a stack matching a freshly merged signature", i)
 		}
-		if !c.classifySafe(safe) {
+		if !c.ClassifySafe(safe) {
 			t.Fatalf("iteration %d: unrelated stack lost the fast tier", i)
 		}
 
@@ -98,7 +98,7 @@ func TestFastPathMergeUnderRace(t *testing.T) {
 		if !hist.Remove(sigID) {
 			t.Fatalf("iteration %d: remove failed", i)
 		}
-		if !c.classifySafe(danger) {
+		if !c.ClassifySafe(danger) {
 			t.Fatalf("iteration %d: removal not observed by the fast tier", i)
 		}
 
@@ -106,7 +106,7 @@ func TestFastPathMergeUnderRace(t *testing.T) {
 		// not re-poison it — the resurrection bug the tombstones fix.
 		staleRemote, _ := remoteWith(rev, danger.S, peer)
 		hist.Merge(staleRemote)
-		if !c.classifySafe(danger) {
+		if !c.ClassifySafe(danger) {
 			t.Fatalf("iteration %d: stale remote resurrected a removed signature", i)
 		}
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,29 +53,55 @@ func TestReportRender(t *testing.T) {
 	}
 }
 
-func TestFig5Shape(t *testing.T) {
-	rep := Fig5(Scale{})
-	if len(rep.Rows) < 3 {
-		t.Fatalf("fig5 rows = %d", len(rep.Rows))
+// checkSweep asserts a figure's shape on its sweep table — at least min
+// quick points, the full sweep an ascending superset of the quick one —
+// and returns the quick points.
+func checkSweep(t *testing.T, sweep [2][]int, min int) []int {
+	t.Helper()
+	quick, full := Scale{}.pick(sweep), Scale{Full: true}.pick(sweep)
+	if len(quick) < min {
+		t.Fatalf("quick sweep has %d points, want >= %d", len(quick), min)
 	}
-	out := render(t, rep)
-	if !strings.Contains(out, "Threads") {
-		t.Error("missing header")
+	if !slices.IsSorted(full) {
+		t.Errorf("full sweep %v is not ascending", full)
+	}
+	for _, p := range quick {
+		if !slices.Contains(full, p) {
+			t.Errorf("quick point %d is not on the full sweep %v", p, full)
+		}
+	}
+	return quick
+}
+
+func TestFig5Shape(t *testing.T) {
+	threads := checkSweep(t, fig5Threads, 3)
+	if res := runPoint(Scale{}, fig5Point(threads[1])); res.Ops == 0 || res.Throughput <= 0 {
+		t.Fatalf("fig5 point at %d threads measured nothing: %+v", threads[1], res)
 	}
 }
 
 func TestFig7Shape(t *testing.T) {
-	rep := Fig7(Scale{})
-	if len(rep.Rows) != 4 {
-		t.Fatalf("fig7 rows = %d", len(rep.Rows))
+	sizes := checkSweep(t, fig7Sizes, 4)
+	if len(sizes) != 4 {
+		t.Fatalf("fig7 rows = %d", len(sizes))
+	}
+	if res := runPoint(Scale{}, fig7Point(sizes[len(sizes)-1], 8)); res.Ops == 0 || res.Throughput <= 0 {
+		t.Fatalf("fig7 point measured nothing: %+v", res)
 	}
 }
 
 func TestFig9Shape(t *testing.T) {
-	rep := Fig9(Scale{})
 	// baseline + ignored + depths + gate + ghost
-	if len(rep.Rows) < 7 {
-		t.Fatalf("fig9 rows = %d\n%s", len(rep.Rows), render(t, rep))
+	depths := checkSweep(t, fig9Depths, 3)
+	if last := depths[len(depths)-1]; last != fig9ProbeDepth {
+		t.Errorf("deepest quick point is %d, want the probe depth %d (the ~0-FP end of the curve)", last, fig9ProbeDepth)
+	}
+	res := runPoint(Scale{}, fig9Point(fig9ProbeDepth))
+	if res.Ops == 0 {
+		t.Fatalf("fig9 point measured nothing: %+v", res)
+	}
+	if res.ProbeFPs != 0 {
+		t.Errorf("matching at the probe depth reported %d probe false positives", res.ProbeFPs)
 	}
 }
 

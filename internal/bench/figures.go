@@ -66,6 +66,45 @@ func Fig4(s Scale) Report {
 	return rep
 }
 
+// The sweeps of Figs 5, 7 and 9, quick then full: one report row per
+// entry. The tests assert a figure's shape on its table and run a single
+// point of it, instead of the whole sweep.
+var (
+	fig5Threads = [2][]int{{2, 8, 32, 64, 128}, {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}}
+	fig7Sizes   = [2][]int{{2, 16, 64, 256}, {2, 4, 8, 16, 32, 64, 128, 256}}
+	fig9Depths  = [2][]int{{1, 2, 4, 8, 10}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}
+)
+
+// pick selects a sweep table's quick or full column.
+func (s Scale) pick(sweep [2][]int) []int {
+	if s.Full {
+		return sweep[1]
+	}
+	return sweep[0]
+}
+
+// fig5Point is Fig 5's Dimmunix point at n threads.
+func fig5Point(n int) pointOpts {
+	return pointOpts{threads: n, din: time.Microsecond, dout: time.Millisecond, hist: 64, reps: 2}
+}
+
+// fig7Point is Fig 7's point at h signatures matched at depth.
+func fig7Point(h, depth int) pointOpts {
+	return pointOpts{din: time.Microsecond, dout: time.Millisecond, hist: h, sigDepth: depth, reps: 2}
+}
+
+// fig9ProbeDepth is the depth Fig 9's probe re-checks each avoidance at.
+const fig9ProbeDepth = 10
+
+// fig9Point is Fig 9's point at matching depth k.
+func fig9Point(k int) pointOpts {
+	return pointOpts{
+		din: time.Millisecond, dout: time.Millisecond,
+		hist: 64, sigDepth: k, probeDepth: fig9ProbeDepth,
+		seed: 17,
+	}
+}
+
 // Fig5 sweeps the thread count at 64 sigs, siglen 2, 8 locks, din=1us,
 // dout=1ms, reporting lock throughput and yields/s.
 func Fig5(s Scale) Report {
@@ -74,13 +113,9 @@ func Fig5(s Scale) Report {
 		Title:  "Lock throughput vs number of threads (64 sigs, 8 locks, din=1us, dout=1ms)",
 		Header: []string{"Threads", "Baseline ops/s", "Dimmunix ops/s", "Overhead", "Yields/s"},
 	}
-	threads := []int{2, 8, 32, 64, 128}
-	if s.Full {
-		threads = []int{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-	}
-	for _, n := range threads {
+	for _, n := range s.pick(fig5Threads) {
 		base := runPoint(s, pointOpts{threads: n, din: time.Microsecond, dout: time.Millisecond, mode: core.ModeOff, reps: 2})
-		dmx := runPoint(s, pointOpts{threads: n, din: time.Microsecond, dout: time.Millisecond, hist: 64, reps: 2})
+		dmx := runPoint(s, fig5Point(n))
 		rep.Rows = append(rep.Rows, []string{
 			itoa(n),
 			f1(base.Throughput), f1(dmx.Throughput),
@@ -133,14 +168,10 @@ func Fig7(s Scale) Report {
 		Title:  "Lock throughput vs history size and matching depth (64 threads, 8 locks, din=1us, dout=1ms)",
 		Header: []string{"Signatures", "Baseline ops/s", "Depth4 ops/s", "Depth8 ops/s", "Ovh d4", "Ovh d8"},
 	}
-	sizes := []int{2, 16, 64, 256}
-	if s.Full {
-		sizes = []int{2, 4, 8, 16, 32, 64, 128, 256}
-	}
 	base := runPoint(s, pointOpts{din: time.Microsecond, dout: time.Millisecond, mode: core.ModeOff, reps: 2})
-	for _, h := range sizes {
-		d4 := runPoint(s, pointOpts{din: time.Microsecond, dout: time.Millisecond, hist: h, sigDepth: 4, reps: 2})
-		d8 := runPoint(s, pointOpts{din: time.Microsecond, dout: time.Millisecond, hist: h, sigDepth: 8, reps: 2})
+	for _, h := range s.pick(fig7Sizes) {
+		d4 := runPoint(s, fig7Point(h, 4))
+		d8 := runPoint(s, fig7Point(h, 8))
 		rep.Rows = append(rep.Rows, []string{
 			itoa(h),
 			f1(base.Throughput), f1(d4.Throughput), f1(d8.Throughput),
@@ -193,14 +224,6 @@ func Fig9(s Scale) Report {
 		Title:  "False-positive overhead vs matching depth; gate/ghost-lock comparison",
 		Header: []string{"Config", "ops/s", "Overhead vs base", "Yields", "Probe FPs"},
 	}
-	const D = 10
-	o := func(depth int) pointOpts {
-		return pointOpts{
-			din: time.Millisecond, dout: time.Millisecond,
-			hist: 64, sigDepth: depth, probeDepth: D,
-			seed: 17,
-		}
-	}
 	base := runPoint(s, pointOpts{din: time.Millisecond, dout: time.Millisecond, mode: core.ModeOff})
 	// Dimmunix's own overhead, without any false positives: decisions
 	// ignored (§7.3 methodology).
@@ -208,12 +231,8 @@ func Fig9(s Scale) Report {
 	rep.Rows = append(rep.Rows, []string{"baseline (off)", f1(base.Throughput), "-", "-", "-"})
 	rep.Rows = append(rep.Rows, []string{"dimmunix, decisions ignored", f1(noFP.Throughput), pct(overhead(base.Throughput, noFP.Throughput)), "-", "-"})
 
-	depths := []int{1, 2, 4, 8, 10}
-	if s.Full {
-		depths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	}
-	for _, k := range depths {
-		res := runPoint(s, o(k))
+	for _, k := range s.pick(fig9Depths) {
+		res := runPoint(s, fig9Point(k))
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("dimmunix, match depth %d", k),
 			f1(res.Throughput),

@@ -157,7 +157,7 @@ func (rt *Runtime) acquire(t *Thread, raw rawLock, ls *lockStateRef, req lockReq
 
 	// Fast tier: a stack provably safe under the live history epoch skips
 	// the guarded §5.4 protocol entirely — in steady state one atomic
-	// epoch load plus a per-thread table hit, then straight to the raw
+	// epoch load plus a call-site table hit, then straight to the raw
 	// lock. An uncontended acquisition costs one batched event record;
 	// only a blocking one publishes the Go wait edge first (so a
 	// brand-new deadlock through this call site is still detected). The

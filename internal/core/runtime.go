@@ -43,7 +43,7 @@ type idShard struct {
 type Runtime struct {
 	cfg      Config
 	interner *stack.Interner
-	pcCache  *stack.PCCache // nil when Lab.DisableFastPath (legacy capture)
+	pcCache  *stack.PCCache // the call-site table: raw PC stack -> interned stack
 	hist     *signature.History
 	store    histstore.Store // nil = in-memory-only history
 	ownStore bool            // the runtime opened store and closes it on Stop
@@ -181,6 +181,7 @@ func NewLab(cfg Config, lab Lab) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:      cfg,
 		interner: stack.NewInterner(),
+		pcCache:  stack.NewPCCache(),
 		hist:     hist,
 		store:    store,
 		ownStore: ownStore,
@@ -211,12 +212,6 @@ func NewLab(cfg Config, lab Lab) (*Runtime, error) {
 			})
 		}
 	})
-	if !lab.DisableFastPath {
-		// The raw-PC capture cache is part of the fast tier; the disabled
-		// configuration keeps the full pre-refactor capture pipeline as a
-		// benchmark baseline.
-		rt.pcCache = stack.NewPCCache()
-	}
 	for i := range rt.gidTab {
 		rt.gidTab[i].m = make(map[uint64]*Thread)
 	}
@@ -619,10 +614,13 @@ func (rt *Runtime) DisableLastAvoided() bool {
 	return rt.hist.SetDisabled(sig.ID, true)
 }
 
-// CapturedStacks returns every distinct call stack observed at lock
-// operations so far. The §7.2.1 methodology synthesizes histories from
-// "random combinations of real program stacks with which the target
-// system performs synchronization"; this is that sampling hook.
+// CapturedStacks returns every distinct call stack recorded at lock
+// operations so far: exact ones, except that safe call paths alike in the
+// innermost frames a verdict depends on (see Thread.captureClassified)
+// are recorded as the first of them seen. The §7.2.1 methodology
+// synthesizes histories from "random combinations of real program stacks
+// with which the target system performs synchronization"; this is that
+// sampling hook.
 func (rt *Runtime) CapturedStacks() []stack.Stack {
 	snap := rt.interner.Snapshot()
 	out := make([]stack.Stack, 0, len(snap))

@@ -60,7 +60,10 @@ var diffPaths = []struct {
 const diffMaxWrap = 8
 
 // checkShallowAgreement runs every probe path behind every ladder height
-// twice (miss then cached entry) and asserts the depth-bounded verdict
+// twice (miss then cached entry), from ths[0] then ths[1], and swaps the
+// two at the end: the call-site table is runtime-wide, so the entry one
+// thread writes at epoch e must serve the other at e and be refused to it
+// at e+1, the next call's first round. It asserts the depth-bounded verdict
 // equals the authoritative classification of the path's exact full stack,
 // captured independently through the same application frames — not of the
 // stack the classification returned, which for a truncated key is only a
@@ -70,15 +73,16 @@ const diffMaxWrap = 8
 // mutation: epochs are monotonic, so an unchanged epoch across the probe
 // window means the index the fast tier classified against is the one we
 // re-verify against.
-func checkShallowAgreement(t *testing.T, rt *Runtime, th *Thread) {
+func checkShallowAgreement(t *testing.T, rt *Runtime, ths *[2]*Thread) {
 	t.Helper()
+	defer func() { ths[0], ths[1] = ths[1], ths[0] }()
 	for wrap := 0; wrap <= diffMaxWrap; wrap++ {
 		capture := diffCapture((*Thread).captureClassified)
 		if wrap > 0 {
 			capture = diffLadder
 		}
 		for _, p := range diffPaths {
-			for round := 0; round < 2; round++ {
+			for round, th := range ths {
 				ep1, _ := rt.cache.DangerView()
 				// One call line for both captures, so they walk the same
 				// application frames: under test first, then reference.
@@ -129,8 +133,11 @@ func TestShallowFullDifferential(t *testing.T) {
 	defer rt.Stop()
 	th := rt.RegisterThread("diff")
 	defer th.Close()
+	th2 := rt.RegisterThread("diff2")
+	defer th2.Close()
+	ths := &[2]*Thread{th, th2}
 
-	if rt.pcCache == nil || !rt.cache.FastOK() {
+	if !rt.cache.FastOK() {
 		t.Fatal("fast tier not armed; the differential would test nothing")
 	}
 
@@ -138,7 +145,7 @@ func TestShallowFullDifferential(t *testing.T) {
 	if got := rt.hist.Danger().ShallowDepth(); got != 1 {
 		t.Fatalf("empty history ShallowDepth=%d, want 1", got)
 	}
-	checkShallowAgreement(t, rt, th)
+	checkShallowAgreement(t, rt, ths)
 
 	// Round 2: archive a default-depth signature from a real captured
 	// path; its probe must flip to dangerous. Recursion depth >= 2 keeps
@@ -147,7 +154,7 @@ func TestShallowFullDifferential(t *testing.T) {
 	// it and every deep A path aliases into the signature.
 	sA := captureFor(th, 3, diffProbeA).S
 	rt.hist.Add(signature.New(signature.Deadlock, []stack.Stack{sA}, 4))
-	checkShallowAgreement(t, rt, th)
+	checkShallowAgreement(t, rt, ths)
 	if in, safe := diffVia(th, 3, diffProbeA, (*Thread).captureClassified, 0); safe {
 		t.Fatalf("archived signature on path A3 but fast tier still says safe; stack %v", in.S)
 	}
@@ -155,7 +162,7 @@ func TestShallowFullDifferential(t *testing.T) {
 	// Round 3: depth-1 signature on the other call site (frames bucket).
 	sB := captureFor(th, 2, diffProbeB).S
 	rt.hist.Add(signature.New(signature.Deadlock, []stack.Stack{sB}, 1))
-	checkShallowAgreement(t, rt, th)
+	checkShallowAgreement(t, rt, ths)
 	if _, safe := diffVia(th, 9, diffProbeB, diffLadder, diffMaxWrap); safe {
 		t.Fatal("depth-1 signature must make every aliasing B path dangerous")
 	}
@@ -166,13 +173,13 @@ func TestShallowFullDifferential(t *testing.T) {
 	if got := rt.hist.Danger().ShallowDepth(); got < 8 {
 		t.Fatalf("depth-8 signature live but ShallowDepth=%d", got)
 	}
-	checkShallowAgreement(t, rt, th)
+	checkShallowAgreement(t, rt, ths)
 
 	// Round 5: sync-pull merge from a remote history.
 	remote := signature.NewHistory()
 	remote.Add(signature.New(signature.Starvation, []stack.Stack{captureFor(th, 1, diffProbeA).S}, 2))
 	rt.hist.Merge(remote)
-	checkShallowAgreement(t, rt, th)
+	checkShallowAgreement(t, rt, ths)
 
 	// Round 6: calibration-armed signature forces the conservative
 	// envelope — verdicts still agree, now via full captures.
@@ -182,14 +189,14 @@ func TestShallowFullDifferential(t *testing.T) {
 	if got := rt.hist.Danger().ShallowDepth(); got != 0 {
 		t.Fatalf("calibration-armed signature live but ShallowDepth=%d, want 0", got)
 	}
-	checkShallowAgreement(t, rt, th)
+	checkShallowAgreement(t, rt, ths)
 
 	// Round 7: disable it — the envelope lifts, bound returns.
 	rt.hist.SetDisabled(calSig.ID, true)
 	if got := rt.hist.Danger().ShallowDepth(); got == 0 {
 		t.Fatal("envelope persists after the calibration signature was disabled")
 	}
-	checkShallowAgreement(t, rt, th)
+	checkShallowAgreement(t, rt, ths)
 
 	// Round 8: depth<=0 signature (full-stack matching) is the other
 	// envelope case.
@@ -199,15 +206,15 @@ func TestShallowFullDifferential(t *testing.T) {
 	if got := rt.hist.Danger().ShallowDepth(); got != 0 {
 		t.Fatalf("depth<=0 signature live but ShallowDepth=%d, want 0", got)
 	}
-	checkShallowAgreement(t, rt, th)
+	checkShallowAgreement(t, rt, ths)
 
 	// Round 9: predicted inoculation — ReplaceAll swaps the entire
-	// content and jumps the epoch; stale cls entries must revalidate or
-	// recapture, never serve the old verdict.
+	// content and jumps the epoch; stale bounded entries must be
+	// recaptured, never serve the old verdict.
 	repl := signature.NewHistory()
 	repl.Add(signature.New(signature.Deadlock, []stack.Stack{captureFor(th, 0, diffProbeB).S}, 4))
 	rt.hist.ReplaceAll(repl)
-	checkShallowAgreement(t, rt, th)
+	checkShallowAgreement(t, rt, ths)
 	if _, safe := diffVia(th, 0, diffProbeA, diffLadder, 1); !safe {
 		t.Fatal("ReplaceAll removed the A signatures but path A0 still classifies dangerous")
 	}
@@ -216,7 +223,7 @@ func TestShallowFullDifferential(t *testing.T) {
 // TestShallowFullDifferentialConcurrent runs the same agreement check
 // from several goroutines while another goroutine continuously mutates
 // the history (add/disable/remove/replace), so -race can see the index
-// publication, marker, and cls-table interplay under fire. The
+// publication, marker, and call-site table interplay under fire. The
 // epoch-stable guard in checkShallowAgreement keeps the verdict
 // comparison meaningful despite the churn.
 func TestShallowFullDifferentialConcurrent(t *testing.T) {
@@ -276,10 +283,11 @@ func TestShallowFullDifferentialConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			th := rt.RegisterThread("diff-w")
-			defer th.Close()
+			ths := &[2]*Thread{rt.RegisterThread("diff-w"), rt.RegisterThread("diff-w2")}
+			defer ths[0].Close()
+			defer ths[1].Close()
 			for i := 0; i < 40; i++ {
-				checkShallowAgreement(t, rt, th)
+				checkShallowAgreement(t, rt, ths)
 			}
 		}()
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,43 +30,6 @@ type Thread struct {
 	// latCtr drives 1-in-64 fast-tier latency sampling (see
 	// Runtime.latFast). Owned by the thread's goroutine; no atomics.
 	latCtr uint32
-
-	// cls is the per-goroutine classification table: a tiny direct-mapped
-	// cache from raw PC stack to (interned stack, safe/dangerous verdict),
-	// validated against the danger-index epoch. A Thread is used by one
-	// goroutine at a time, so the table needs no synchronization; the
-	// steady-state hot path costs one depth-bounded stack capture, one
-	// hash, one epoch load — and zero allocations. See captureClassified.
-	cls [classSlots]classEntry
-}
-
-const (
-	classSlots = 4  // direct-mapped slots per thread
-	classPCs   = 16 // max raw-PC depth a slot can hold
-)
-
-// classEntry caches one call path's capture + classification.
-//
-// When truncated is set the key (pcs[:n]) is a depth-bounded capture: it
-// covers only the innermost frames the danger index needs for a sound
-// verdict (max(DangerIndex.ShallowDepth, MatchDepth) application frames
-// below Runtime.wrapDepth wrapper frames — an entry is only ever stored
-// once its key is known to cover that many), and in holds the full stack
-// captured at miss time — a representative of the call paths sharing that
-// shallow prefix. The classification verdict is identical for every such
-// path (it depends only on frames the key covers), but the
-// representative's outer frames may differ from the live path's, so
-// truncated entries are never allowed to feed the guarded tier: a
-// dangerous verdict escalates to a fresh full capture, and an epoch move
-// discards the entry (the new index may need deeper frames than the key
-// covers).
-type classEntry struct {
-	in        *stack.Interned // nil marks an empty slot
-	epoch     uint64          // danger-index epoch the verdict was computed at
-	n         uint8           // raw PC count
-	truncated bool            // key is a depth-bounded capture (see above)
-	dangerous bool            // verdict at epoch
-	pcs       [classPCs]uintptr
 }
 
 // pin marks an operation in flight on this handle: the idle pruner never
@@ -164,10 +126,9 @@ func (rt *Runtime) fullBound(wrap int) int {
 // stripped, so the innermost frame is the application's lock call site —
 // the Go analog of the paper's return-address stacks.
 //
-// With the fast tier enabled, the symbolization/strip/intern pipeline is
-// memoized by raw PC stack (Runtime.pcCache): after the first occurrence
-// of a call path, a capture costs one stack walk plus one hash lookup.
-// DisableFastPath keeps the full per-operation pipeline.
+// The symbolization/strip/intern pipeline is memoized by raw PC stack
+// (Runtime.pcCache): after the first occurrence of a call path, a capture
+// costs one stack walk plus one hash lookup.
 //
 //go:noinline
 func (t *Thread) captureStack(extraSkip int) *stack.Interned {
@@ -185,7 +146,7 @@ func (t *Thread) captureStack(extraSkip int) *stack.Interned {
 
 // internPCs maps a raw PC stack captured under bound to its interned
 // frame stack: pcCache hit, or the full symbolize/strip/truncate/intern
-// pipeline (memoized into the pcCache when the fast tier is on).
+// pipeline, memoized into the pcCache.
 // Stripping is where a stack's wrapper depth — the number of Dimmunix
 // frames above the application's call site — is observed; it is folded
 // into Runtime.wrapDepth here, before the stack can enter the pcCache, so
@@ -195,10 +156,8 @@ func (t *Thread) captureStack(extraSkip int) *stack.Interned {
 // then returns nil and the caller captures again under the raised bound.
 func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 	rt := t.rt
-	if rt.pcCache != nil {
-		if in, ok := rt.pcCache.Get(pcs); ok {
-			return in
-		}
+	if in, ok := rt.pcCache.Get(pcs); ok {
+		return in
 	}
 	raw := stack.ResolvePCs(pcs, bound)
 	i := 0
@@ -222,9 +181,7 @@ func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 		s = s[:rt.cfg.StackDepth]
 	}
 	in := rt.interner.Intern(s.Clone())
-	if rt.pcCache != nil {
-		rt.pcCache.Put(pcs, in)
-	}
+	rt.pcCache.Put(pcs, in)
 	return in
 }
 
@@ -238,31 +195,31 @@ func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 // and the hot path walks only that many application frames — or
 // MatchDepth, if larger, so a newly archived signature's matching window
 // stays covered by the key — below the wrapper ladder, instead of the
-// full StackDepth. On a raw-PC hit whose cached verdict is current
-// (danger-index epoch matches) and safe, no map shard, no interner, and
-// no allocation is touched at all. Escalation back to the full walk
-// happens exactly when the shallow capture cannot stand on its own:
+// full StackDepth. A published ShallowDepth of 0 (calibration-live or
+// depth<=0 signatures) means only the full walk is sound.
 //
-//   - a published ShallowDepth of 0 (calibration-live or depth<=0
-//     signatures): the conservative envelope, full capture as before;
-//   - a cache miss: the full stack is needed to intern for archiving
-//     and event bookkeeping (the shallow key then caches it — unless the
-//     full stack's wrapper ladder turned out deeper than the bound
-//     allowed for, in which case the key may cover too few application
-//     frames and nothing is cached under it);
-//   - a dangerous verdict on a truncated key: the guarded tier's §5.4
-//     matching and archival need the exact deep frames, which a
-//     truncated key cannot vouch for (see classEntry);
-//   - an epoch move over a truncated entry: the new index may need
-//     deeper frames than the key covers, so the entry is discarded and
-//     the call path recaptured under the new bound.
+// Either way the raw PCs are looked up once in the runtime-wide call-site
+// table (Runtime.pcCache) and the verdict is the epoch marker on the
+// interned stack found there (Cache.ClassifySafe) — for every thread
+// alike. A walk that ended inside its bound is a complete capture: the
+// table's stack is exact and valid forever. A walk that filled a shallow
+// bound yields a depth-bounded key, whose table entry is a representative
+// of the call paths sharing those frames: same verdict (it depends only
+// on frames the key covers), possibly different outer frames. Two rules
+// keep that sound:
 //
-// The epoch and shallow depth are read from one index load before
-// classifying, so a concurrent index publish at worst leaves the entry
-// stamped with the older epoch — forcing a revalidation on the next
-// hit, never masking a newer index (the PR 7 staleness argument; stale
-// fast holds are reconciled by the avoidance layer on the next guarded
-// decision).
+//   - a bounded key never feeds the guarded tier, whose §5.4 matching
+//     and archival need the exact deep frames: a miss or a dangerous
+//     verdict recaptures the full stack;
+//   - an epoch move invalidates a bounded key (the new index may need
+//     deeper frames than it covers): the entry answers only at the epoch
+//     it was recorded at, and the recapture replaces it in place.
+//
+// The epoch and shallow depth are read from one index load before the
+// lookup, so a concurrent index publish at worst leaves an entry stamped
+// with the older epoch — forcing a recapture on the next call, never
+// masking a newer index (stale fast holds are reconciled by the
+// avoidance layer on the next guarded decision).
 //
 // When the fast tier is off (mode, IgnoreDecisions, DisableFastPath) the
 // verdict is always "not safe" and this devolves to captureStack.
@@ -270,7 +227,7 @@ func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 //go:noinline
 func (t *Thread) captureClassified(extraSkip int) (*stack.Interned, bool) {
 	rt, cache := t.rt, t.rt.cache
-	if rt.pcCache == nil || !cache.FastOK() {
+	if !cache.FastOK() {
 		return t.captureStack(extraSkip + 1), false
 	}
 	ep, shallow := cache.DangerView()
@@ -281,55 +238,28 @@ func (t *Thread) captureClassified(extraSkip int) (*stack.Interned, bool) {
 		bound = min(max(shallow, rt.cfg.MatchDepth)+int(wrap), full)
 	}
 	var pcbuf [stack.MaxCaptureDepth + 2]uintptr
-	n := capturePCs(extraSkip, pcbuf[:bound])
-	pcs := pcbuf[:n]
-	truncated := n == bound && bound < full
-	var e *classEntry // nil: too deep for a slot, classify uncached
-	if n <= classPCs {
-		e = &t.cls[stack.HashPCs(pcs)%classSlots]
-		if e.in != nil && slices.Equal(e.pcs[:e.n], pcs) {
-			stale := e.epoch != ep
-			if stale && !e.truncated {
-				// Complete capture: the cached stack is exact, so the
-				// verdict can revalidate in place via the marker cache.
-				e.dangerous = !cache.ClassifySafe(e.in)
-				e.epoch = ep
-				stale = false
-			}
-			if !stale {
-				if e.dangerous && e.truncated {
-					// Guarded tier ahead: recapture the exact full stack.
-					return t.captureStack(extraSkip + 1), false
-				}
-				return e.in, !e.dangerous
-			}
-			// Stale truncated entry: discard and refill below.
+	pcs := pcbuf[:capturePCs(extraSkip, pcbuf[:bound])]
+	bounded := len(pcs) == bound && bound < full
+	if !bounded {
+		if in := t.internPCs(pcs, full); in != nil {
+			return in, cache.ClassifySafe(in)
 		}
+		// A full walk cut short by a stale bound: captureStack retries.
+	} else if in, ok := rt.pcCache.GetAt(pcs, ep); ok {
+		if cache.ClassifySafe(in) {
+			return in, true
+		}
+		return t.captureStack(extraSkip + 1), false
 	}
-	var in *stack.Interned
-	if !truncated {
-		in = t.internPCs(pcs, full)
-	}
-	if in == nil {
-		// The walk stopped at its bound, so the full stack must be
-		// recaptured for archiving and event bookkeeping; the shallow
-		// PCs stay as the cache key.
-		in = t.captureStack(extraSkip + 1)
-	}
-	safe := cache.ClassifySafe(in)
+	in := t.captureStack(extraSkip + 1)
 	// in's own wrapper depth is folded into wrapDepth by now. Unchanged
 	// means the bound allowed for it, so the key covers every application
 	// frame the verdict depends on; otherwise the next call recaptures
 	// under the deeper bound.
-	if e != nil && rt.wrapDepth.Load() == wrap {
-		e.in = in
-		e.epoch = ep
-		e.n = uint8(n)
-		e.truncated = truncated
-		e.dangerous = !safe
-		copy(e.pcs[:], pcs)
+	if bounded && rt.wrapDepth.Load() == wrap {
+		rt.pcCache.PutAt(pcs, in, ep)
 	}
-	return in, safe
+	return in, cache.ClassifySafe(in)
 }
 
 // isRuntimeFrame identifies Dimmunix's own frames: every function of this

@@ -8,7 +8,7 @@
 // hot paths should prefer the explicit Thread-handle API in internal/core;
 // this package exists so the implicit path works at all, and its cost is
 // measured by BenchmarkCurrent here and, against explicit handles, by
-// BenchmarkAblationThreadID* in the root bench_test.go.
+// benchmark/'s gid.current_ns and core.current_thread_ns rungs.
 package gid
 
 import (

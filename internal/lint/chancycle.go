@@ -58,8 +58,8 @@ type ccEdge struct {
 }
 
 type ccOcc struct {
-	op      *chanOp  // nil for L->L edges
-	lockIdx int      // index into op.held (L->C) or op.before (C->L)
+	op      *chanOp // nil for L->L edges
+	lockIdx int     // index into op.held (L->C) or op.before (C->L)
 	lockOcc *occurrence
 	root    string
 }

@@ -12,7 +12,7 @@ import (
 // the capture ladder quoted in README "Performance" comes from these.
 //
 // "full" is the pre-shallow-capture behavior (MaxCaptureDepth buffer),
-// "shallow" the depth-bounded walk the classification table now uses,
+// "shallow" the depth-bounded walk the call-site table is keyed on,
 // and "pcs" whatever CapturePCs resolves to in this build (runtime.Callers
 // by default; the frame-pointer walker under -tags dimmunix.fp).
 

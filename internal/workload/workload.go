@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"dimmunix/internal/core"
+	"dimmunix/internal/signature"
+	"dimmunix/internal/stack"
 )
 
 // Config parametrizes one microbenchmark run.
@@ -246,8 +248,16 @@ func (w *worker) finish(m *core.Mutex) {
 }
 
 // Warmup runs briefly so the runtime's interner observes the workload's
-// stack population (needed before synthesizing a history).
+// stack population (needed before synthesizing a history) — every call
+// path exactly: the runtime walks as many frames as its deepest signature
+// matches on and otherwise records paths alike in their innermost
+// MatchDepth frames as one, so a placeholder signature deeper than any
+// stack (and matching none) sits in the history while the warm-up runs.
 func (r *Runner) Warmup(d time.Duration) {
+	deep := signature.New(signature.Deadlock, []stack.Stack{stack.Synthetic(0, 1)}, stack.MaxCaptureDepth)
+	if h := r.rt.History(); h.Add(deep) {
+		defer h.Remove(deep.ID)
+	}
 	saved := r.cfg.Duration
 	r.cfg.Duration = d
 	r.Run()

@@ -47,8 +47,10 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestStackDiversity(t *testing.T) {
 	rt := newRT(t, core.Config{StackDepth: 16})
-	r := NewRunner(rt, Config{Threads: 4, Locks: 2, Duration: 150 * time.Millisecond})
-	r.Run()
+	r := NewRunner(rt, Config{Threads: 4, Locks: 2})
+	// Warmup, not Run: a plain run records call paths alike in their
+	// innermost MatchDepth frames as the first of them seen.
+	r.Warmup(150 * time.Millisecond)
 	stacks := rt.CapturedStacks()
 	// 4 branch choices over 5 levels: a short run must still observe
 	// many distinct stacks.

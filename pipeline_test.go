@@ -310,8 +310,8 @@ func pipeTopA(e *pipeEnv, acquire func(*pipeEnv) error) error { return pipeOuter
 func pipeTopB(e *pipeEnv, acquire func(*pipeEnv) error) error { return pipeOuter(e, acquire) }
 
 // driveEntry runs one acquisition of p through top on a goroutine of its
-// own — a cold per-thread classification table and a fresh explicit
-// handle — after first running it through each of warm. It returns the
+// own, with a fresh explicit handle, after first running it through each
+// of warm. It returns the
 // stats movement of that one acquisition.
 func driveEntry(t *testing.T, rt *dimmunix.Runtime, p pipeEntry, top func(*pipeEnv, func(*pipeEnv) error) error, warm ...func(*pipeEnv, func(*pipeEnv) error) error) (e *pipeEnv, fast, guarded uint64) {
 	t.Helper()
