@@ -1,9 +1,9 @@
 // alloc_test.go pins the allocation budget of the lock paths. The
 // uncontended fast tier is the product's hot path and must stay at zero
 // allocations per operation (amortized: the per-thread event buffer
-// publishes one pooled carrier to the monitor queue every EventBatch
-// operations, so the per-op average stays well under one). The guarded
-// tier's budget is bounded, not zero.
+// publishes one pooled carrier to the monitor queue every
+// core.DefaultEventBatch operations, so the per-op average stays well
+// under one). The guarded tier's budget is bounded, not zero.
 //
 // testing.AllocsPerRun counts process-wide mallocs, so the runtimes here
 // are configured with an effectively-idle monitor (huge Tau) and pruning
@@ -32,6 +32,18 @@ func allocRTLab(t *testing.T, cfg dimmunix.Config, lab core.Lab) *dimmunix.Runti
 	rt := core.MustNewLab(cfg, lab)
 	t.Cleanup(func() { rt.Stop() })
 	return rt
+}
+
+// withHistory populates rt with h synthesized two-stack signatures drawn
+// from a short workload warmup.
+func withHistory(t *testing.T, rt *dimmunix.Runtime, r *workload.Runner, h, depth int) {
+	t.Helper()
+	r.Warmup(100 * time.Millisecond)
+	hist, err := workload.SynthesizeHistory(rt.CapturedStacks(), h, 2, depth, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.History().Merge(hist)
 }
 
 // allocSite runs one Lock/Unlock pair at the end of one of 4^depth call

@@ -1,6 +1,6 @@
 // Command dimmunix-predict turns acquisition traces into immunity before
 // any deadlock fires: it loads a journal recorded by a runtime in trace
-// mode (WithTraceRecorder / DIMMUNIX_TRACE), replays it through the
+// mode (Config.TracePath / DIMMUNIX_TRACE), replays it through the
 // offline predictor (internal/predict), and reports the lock-order
 // cycles that could deadlock under another schedule. Predictions pass
 // the soundness guards of dynamic deadlock prediction (thread

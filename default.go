@@ -136,22 +136,16 @@ func Shutdown() error {
 //	DIMMUNIX_MODE              off | instrument | datastructs | full
 //	DIMMUNIX_IMMUNITY          weak | strong
 //	DIMMUNIX_RECOVERY          abort | off
-//	DIMMUNIX_MATCH_DEPTH       int
+//	DIMMUNIX_MATCH_DEPTH       int (at most 32; capture depth follows it)
 //	DIMMUNIX_MAX_YIELD         Go duration
-//	DIMMUNIX_STACK_DEPTH       int
 //	DIMMUNIX_CALIBRATE         bool
 //	DIMMUNIX_DISCARD_OBSOLETE  bool
 //	DIMMUNIX_THREAD_TTL        Go duration (idle implicit-thread pruning;
 //	                           negative disables)
-//	DIMMUNIX_EVENT_BUFFER      int (observability ring / subscriber
-//	                           channel capacity; default 256)
-//	DIMMUNIX_EVENT_BATCH       int (per-thread monitor-publication batch
-//	                           size; default 64, <= 1 disables batching)
 //	DIMMUNIX_TRACE             trace-mode journal path ("" = no tracing);
 //	                           records every acquisition event for
-//	                           offline prediction (dimmunix-predict)
-//	DIMMUNIX_TRACE_MAX_BYTES   int; journal size bound before rotation
-//	                           (default 64 MiB; negative = unbounded)
+//	                           offline prediction (dimmunix-predict),
+//	                           rotating once to path.1 at 64 MiB
 func configFromEnv() (Config, error) {
 	var cfg Config
 	cfg.HistoryPath = os.Getenv("DIMMUNIX_HISTORY")
@@ -172,9 +166,6 @@ func configFromEnv() (Config, error) {
 	if err := envInt("DIMMUNIX_MATCH_DEPTH", &cfg.MatchDepth); err != nil {
 		return cfg, err
 	}
-	if err := envInt("DIMMUNIX_STACK_DEPTH", &cfg.StackDepth); err != nil {
-		return cfg, err
-	}
 	if err := envBool("DIMMUNIX_CALIBRATE", &cfg.Calibrate); err != nil {
 		return cfg, err
 	}
@@ -184,16 +175,7 @@ func configFromEnv() (Config, error) {
 	if err := envDuration("DIMMUNIX_THREAD_TTL", &cfg.ThreadTTL); err != nil {
 		return cfg, err
 	}
-	if err := envInt("DIMMUNIX_EVENT_BUFFER", &cfg.EventBuffer); err != nil {
-		return cfg, err
-	}
-	if err := envInt("DIMMUNIX_EVENT_BATCH", &cfg.EventBatch); err != nil {
-		return cfg, err
-	}
 	cfg.TracePath = os.Getenv("DIMMUNIX_TRACE")
-	if err := envInt64("DIMMUNIX_TRACE_MAX_BYTES", &cfg.TraceMaxBytes); err != nil {
-		return cfg, err
-	}
 
 	if v := os.Getenv("DIMMUNIX_MODE"); v != "" {
 		switch strings.ToLower(v) {
@@ -251,19 +233,6 @@ func envInt(name string, dst *int) error {
 		return nil
 	}
 	n, err := strconv.Atoi(v)
-	if err != nil {
-		return fmt.Errorf("dimmunix: %s=%q: %v", name, v, err)
-	}
-	*dst = n
-	return nil
-}
-
-func envInt64(name string, dst *int64) error {
-	v := os.Getenv(name)
-	if v == "" {
-		return nil
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
 	if err != nil {
 		return fmt.Errorf("dimmunix: %s=%q: %v", name, v, err)
 	}

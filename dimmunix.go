@@ -22,7 +22,9 @@
 //
 // The default Runtime starts lazily with configuration taken from
 // DIMMUNIX_* environment variables (DIMMUNIX_HISTORY, DIMMUNIX_TAU, ...),
-// or explicitly via Init with functional options:
+// or explicitly via Init with functional options. Config is the complete
+// configuration surface; the options are shorthands for its commonly set
+// fields, and WithConfig passes a whole Config:
 //
 //	dimmunix.Init(
 //		dimmunix.WithHistory("dimmunix-history.json"),
@@ -70,7 +72,7 @@ import (
 type (
 	// Runtime is one Dimmunix instance; see core.Runtime.
 	Runtime = core.Runtime
-	// Config configures a Runtime.
+	// Config configures a Runtime: the complete configuration surface.
 	Config = core.Config
 	// CoreMutex is the explicit-runtime instrumented mutex returned by
 	// Runtime.NewMutex — the original fast-path surface underneath the

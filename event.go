@@ -18,13 +18,13 @@ import (
 //		}
 //	}
 //
-// Delivery is asynchronous through a bounded ring (WithEventBuffer):
+// Delivery is asynchronous through a bounded ring (DefaultEventBuffer):
 // when observers or subscribers fall behind, the oldest undelivered
 // events are dropped and counted in Stats().EventsDropped — the runtime
 // itself never slows down or blocks for an observer. Events are
 // telemetry; control flow (recovery, starvation breaking) does not
 // depend on their delivery, which is why the WithRecovery and
-// WithStarvationHook callbacks remain synchronous: they are the
+// Config.OnStarvation callbacks remain synchronous: they are the
 // guaranteed-delivery adapters for the two events that commonly carry
 // control decisions (DeadlockDetected, StarvationAverted).
 type Event = obs.Event
@@ -51,5 +51,5 @@ type (
 )
 
 // DefaultEventBuffer is the observability ring (and subscriber channel)
-// capacity when WithEventBuffer is not used.
+// capacity.
 const DefaultEventBuffer = obs.DefaultBufferSize

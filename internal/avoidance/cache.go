@@ -290,9 +290,6 @@ func (c *Cache) NewLock() *LockState {
 	return &LockState{ID: c.nextLockID.Add(1)}
 }
 
-// Intern exposes the runtime's stack interner.
-func (c *Cache) Intern(s stack.Stack) *stack.Interned { return c.interner.Intern(s) }
-
 // stackStateByID resolves the side-table node for an interned stack ID
 // (nil if the stack has no node yet). Guard held.
 func (c *Cache) stackStateByID(id uint32) *stackState {

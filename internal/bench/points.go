@@ -86,8 +86,6 @@ func runPointOnce(s Scale, o pointOpts) workload.Result {
 		Tau:        50 * time.Millisecond,
 		Mode:       o.mode,
 		MatchDepth: o.sigDepth,
-		// StackDepth 12 comfortably covers the paper's D=10 probing.
-		StackDepth: 12,
 		Calibrate:  o.calibrate,
 		MaxYield:   50 * time.Millisecond,
 		OnDeadlock: func(info monitor.DeadlockInfo) {

@@ -24,10 +24,7 @@ func Resources(s Scale) Report {
 	}
 	for _, n := range threads {
 		heapBefore := heapAlloc()
-		rt := core.MustNew(core.Config{
-			Tau:        50 * time.Millisecond,
-			StackDepth: 12,
-		})
+		rt := core.MustNew(core.Config{Tau: 50 * time.Millisecond})
 		r := workload.NewRunner(rt, workload.Config{
 			Threads:  n,
 			Locks:    8,

@@ -19,12 +19,10 @@ func TestCalibrationLadderAdvancesEndToEnd(t *testing.T) {
 	cfg := testConfig()
 	cfg.MatchDepth = 2
 	cfg.Calibrate = true
-	cfg.CalibMaxDepth = 4
-	cfg.CalibNA = 2
 	cfg.MaxYield = 100 * time.Millisecond
 	var rt *Runtime
 	cfg.OnDeadlock = func(info monitor.DeadlockInfo) { rt.AbortThreads(info.ThreadIDs...) }
-	rt = MustNew(cfg)
+	rt = MustNewLab(cfg, Lab{CalibMaxDepth: 4, CalibNA: 2})
 	defer rt.Stop()
 
 	a, b := rt.NewMutex(), rt.NewMutex()

@@ -10,11 +10,13 @@ import (
 	"time"
 
 	"dimmunix/internal/avoidance"
+	"dimmunix/internal/calib"
 	"dimmunix/internal/histstore"
 	"dimmunix/internal/monitor"
 	"dimmunix/internal/obs"
 	"dimmunix/internal/signature"
 	"dimmunix/internal/sigport"
+	"dimmunix/internal/stack"
 )
 
 // Mode selects how much of Dimmunix runs; used for the Fig 8 overhead
@@ -64,7 +66,9 @@ const DefaultSyncInterval = 2 * time.Second
 // from a healthy store without letting an outage stall process exit.
 const DefaultShutdownTimeout = time.Second
 
-// Config configures a Runtime. The zero value is usable: full Dimmunix,
+// Config configures a Runtime and is the complete configuration surface:
+// the facade's With* options and the DIMMUNIX_* variables are shorthands
+// for its commonly set fields. The zero value is usable: full Dimmunix,
 // weak immunity, τ = 100 ms, matching depth 4, no history file.
 type Config struct {
 	// HistoryPath is the persistent history file ("" = in-memory only).
@@ -110,26 +114,21 @@ type Config struct {
 	// journal (internal/trace format) for offline deadlock prediction
 	// (dimmunix-predict). Recording happens on the monitor goroutine,
 	// off the lock path; "" (the default) records nothing. The
-	// DIMMUNIX_TRACE env var is the no-code-change plumbing.
+	// DIMMUNIX_TRACE env var is the no-code-change plumbing. The journal
+	// rotates to TracePath+".1" at trace.DefaultMaxBytes, so a
+	// long-lived process keeps a sliding window instead of filling the
+	// disk.
 	TracePath string
-	// TraceMaxBytes bounds the trace journal: at the bound the journal
-	// rotates to TracePath+".1" and starts fresh, so a long-lived
-	// process keeps a sliding window instead of filling the disk. Zero
-	// selects trace.DefaultMaxBytes; negative disables the bound.
-	TraceMaxBytes int64
 	// Tau is the monitor wakeup period (default 100 ms).
 	Tau time.Duration
 	// MatchDepth is the fixed matching depth recorded in new signatures
-	// (default 4, §5.5).
+	// (default 4, §5.5). New rejects a depth above
+	// stack.MaxCaptureDepth: no capture can deliver that many frames.
 	MatchDepth int
 	// Calibrate arms dynamic matching-depth calibration on new
-	// signatures (§5.5). Off by default, as in the paper's evaluation.
+	// signatures (§5.5), with the paper's ladder: depth <= 10, N_A = 20,
+	// N_T = 10^4. Off by default, as in the paper's evaluation.
 	Calibrate bool
-	// CalibMaxDepth, CalibNA, CalibNT override the calibration
-	// parameters (defaults 10, 20, 10000).
-	CalibMaxDepth int
-	CalibNA       int
-	CalibNT       uint64
 	// DiscardObsolete removes signatures whose completed calibration
 	// shows a 100% false-positive rate at the chosen depth (§8:
 	// obsolete after an upgrade).
@@ -151,9 +150,6 @@ type Config struct {
 	// unboundedly. Zero selects DefaultThreadTTL; negative disables
 	// pruning. Explicit RegisterThread handles are never pruned.
 	ThreadTTL time.Duration
-	// StackDepth is the number of frames captured per lock operation
-	// (default 16; must be at least MatchDepth and the calibration max).
-	StackDepth int
 	// RecoverAborts arms the built-in recovery policy: when a deadlock is
 	// detected (and its signature archived), the involved threads' lock
 	// waits are aborted so their Lock calls return ErrDeadlockRecovered —
@@ -172,21 +168,15 @@ type Config struct {
 	// observer stalls only delivery (events drop oldest-first), never
 	// lock traffic, the monitor, or Stop.
 	Observers []func(obs.Event)
-	// EventBuffer sizes the observability ring and each subscriber
-	// channel (0 selects obs.DefaultBufferSize).
-	EventBuffer int
-	// EventBatch is the per-thread monitor-publication batch size:
-	// bookkeeping events (acquired/release) accumulate in a per-thread
-	// buffer published to the monitor queue as one carrier event when
-	// full, when the thread is about to block or exit, and at the start
-	// of every monitor pass — so detection still sees every operation
-	// within one τ. 0 selects DefaultEventBatch; values <= 1 disable
-	// batching (every event publishes immediately).
-	EventBatch int
+
+	// captureDepth is the number of application frames captured per lock
+	// operation. It is derived by fill, never set: deep enough for
+	// everything that reads frames (see fill).
+	captureDepth int
 }
 
 // Lab carries the knobs that exist for the paper's evaluation and for
-// differential testing rather than for operators. It is deliberately not
+// this module's tests rather than for operators. It is deliberately not
 // part of Config: only code inside this module (internal/bench, tests) can
 // name it.
 type Lab struct {
@@ -200,12 +190,32 @@ type Lab struct {
 	// protocol, disabling the epoch-validated safe-stack bypass: the
 	// reference path the differential tests compare the fast tier against.
 	DisableFastPath bool
+	// CalibMaxDepth, CalibNA, CalibNT shrink the §5.5 calibration ladder
+	// so a test can walk it in a few encounters (0 selects the paper's
+	// 10, 20, 10000).
+	CalibMaxDepth int
+	CalibNA       int
+	CalibNT       uint64
+	// EventBuffer sizes the observability ring and each subscriber
+	// channel (0 selects obs.DefaultBufferSize).
+	EventBuffer int
 }
 
-// DefaultEventBatch is the default per-thread event batch size.
+// DefaultEventBatch is the per-thread monitor-publication batch size:
+// bookkeeping events (acquired/release) accumulate in a per-thread buffer
+// published to the monitor queue as one carrier event when full, when the
+// thread is about to block or exit, and at the start of every monitor
+// pass — so detection still sees every operation within one τ.
 const DefaultEventBatch = 64
 
-func (c *Config) fill() {
+// minCaptureDepth is the capture depth when nothing asks for more.
+const minCaptureDepth = 16
+
+// fill resolves the defaults and derives captureDepth: the deepest of
+// minCaptureDepth and everything that reads frames — MatchDepth, the
+// calibration ladder's ceiling when Calibrate is on, the lab's probe
+// depth — capped at what one capture can hold.
+func (c *Config) fill(lab Lab) {
 	if c.Tau <= 0 {
 		c.Tau = monitor.DefaultTau
 	}
@@ -221,21 +231,17 @@ func (c *Config) fill() {
 	if c.ThreadTTL == 0 {
 		c.ThreadTTL = DefaultThreadTTL
 	}
-	if c.StackDepth <= 0 {
-		c.StackDepth = 16
-	}
-	if c.EventBatch == 0 {
-		c.EventBatch = DefaultEventBatch
-	}
 	if c.BuildFingerprint == "" {
 		c.BuildFingerprint = signature.BuildFingerprint()
 	}
-	if c.StackDepth < c.MatchDepth {
-		c.StackDepth = c.MatchDepth
+	ladder := 0
+	if c.Calibrate {
+		ladder = lab.CalibMaxDepth
+		if ladder <= 0 {
+			ladder = calib.DefaultMaxDepth
+		}
 	}
-	if c.Calibrate && c.CalibMaxDepth > c.StackDepth {
-		c.StackDepth = c.CalibMaxDepth
-	}
+	c.captureDepth = min(max(minCaptureDepth, c.MatchDepth, ladder, lab.ProbeDepth), stack.MaxCaptureDepth)
 }
 
 func (c *Config) avoidanceMode() avoidance.Mode {

@@ -89,8 +89,7 @@ func TestTierSplitInvariantUnderChurn(t *testing.T) {
 func TestYieldEventsMatchCounter(t *testing.T) {
 	cfg := testConfig()
 	cfg.MatchDepth = 2
-	cfg.EventBuffer = 4096 // no drops: the counts must match exactly
-	rt := MustNew(cfg)
+	rt := MustNewLab(cfg, Lab{EventBuffer: 4096}) // no drops: the counts must match exactly
 	defer rt.Stop()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -154,9 +153,8 @@ func TestStalledObserverNeverBlocksLockers(t *testing.T) {
 	defer close(block)
 	cfg := testConfig()
 	cfg.MatchDepth = 2
-	cfg.EventBuffer = 2
 	cfg.Observers = []func(obs.Event){func(obs.Event) { <-block }}
-	rt := MustNew(cfg)
+	rt := MustNewLab(cfg, Lab{EventBuffer: 2})
 	defer rt.Stop()
 
 	a, b := rt.NewMutex(), rt.NewMutex()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -99,7 +100,11 @@ func New(cfg Config) (*Runtime, error) { return NewLab(cfg, Lab{}) }
 
 // NewLab is New with the lab knobs set.
 func NewLab(cfg Config, lab Lab) (*Runtime, error) {
-	cfg.fill()
+	if cfg.MatchDepth > stack.MaxCaptureDepth {
+		return nil, fmt.Errorf("dimmunix: MatchDepth %d exceeds the %d frames one capture can hold",
+			cfg.MatchDepth, stack.MaxCaptureDepth)
+	}
+	cfg.fill(lab)
 
 	// Resolve the immunity store: explicit > spec (env plumbing) >
 	// legacy single file > in-memory only.
@@ -158,7 +163,7 @@ func NewLab(cfg Config, lab Lab) (*Runtime, error) {
 	// configuration error, fail-fast like history-file corruption.
 	var rec *trace.Recorder
 	if cfg.TracePath != "" {
-		rec, err = trace.NewRecorder(cfg.TracePath, cfg.BuildFingerprint, cfg.TraceMaxBytes)
+		rec, err = trace.NewRecorder(cfg.TracePath, cfg.BuildFingerprint, trace.DefaultMaxBytes)
 		if err != nil {
 			if ownStore {
 				store.Close()
@@ -188,7 +193,7 @@ func NewLab(cfg Config, lab Lab) (*Runtime, error) {
 		q:        queue.New[event.Event](),
 		stats:    &avoidance.Stats{},
 		trace:    rec,
-		bus:      obs.New(cfg.EventBuffer, cfg.Observers),
+		bus:      obs.New(lab.EventBuffer, cfg.Observers),
 	}
 	// Every history mutation — archive, disable/enable, removal, sync
 	// merge, reload — feeds the observability stream (and the disable
@@ -225,7 +230,7 @@ func NewLab(cfg Config, lab Lab) (*Runtime, error) {
 		IgnoreDecisions: lab.IgnoreDecisions,
 		ProbeDepth:      lab.ProbeDepth,
 		DiscardObsolete: cfg.DiscardObsolete,
-		EventBatch:      cfg.EventBatch,
+		EventBatch:      DefaultEventBatch,
 		Bus:             rt.bus,
 	}, rt.interner, hist, rt.stats, rt.q.Push)
 
@@ -253,9 +258,9 @@ func NewLab(cfg Config, lab Lab) (*Runtime, error) {
 		Strong:           cfg.Immunity == StrongImmunity,
 		MatchDepth:       cfg.MatchDepth,
 		Calibrate:        cfg.Calibrate,
-		CalibMaxDepth:    cfg.CalibMaxDepth,
-		CalibNA:          cfg.CalibNA,
-		CalibNT:          cfg.CalibNT,
+		CalibMaxDepth:    lab.CalibMaxDepth,
+		CalibNA:          lab.CalibNA,
+		CalibNT:          lab.CalibNT,
 		Store:            store,
 		SyncInterval:     syncInterval,
 		SyncRoundTimeout: cfg.SyncRoundTimeout,

@@ -40,7 +40,7 @@ type StatsSnapshot struct {
 	GuardedAcquired uint64 `json:"guarded_acquired"`
 
 	// EventBatches counts Batch carrier events published to the monitor
-	// queue (Config.EventBatch); EventsProcessed below counts the
+	// queue (DefaultEventBatch records each); EventsProcessed below counts the
 	// unpacked operations, so the ratio is the realized batch occupancy.
 	EventBatches uint64 `json:"event_batches"`
 
@@ -189,7 +189,7 @@ func (rt *Runtime) Stats() StatsSnapshot {
 
 // Subscribe returns a channel of observability events published after
 // this call — the dynamic counterpart of the WithObserver option. The
-// channel is buffered with the runtime's EventBuffer; events arriving
+// channel is buffered obs.DefaultBufferSize deep; events arriving
 // while it is full are dropped for this subscriber (counted in
 // Stats().EventsDropped), so a slow consumer can never stall a locker,
 // the monitor, or shutdown. The subscription ends (channel closed) when

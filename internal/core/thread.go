@@ -116,10 +116,10 @@ func capturePCs(extraSkip int, buf []uintptr) int {
 	return stack.CapturePCs(extraSkip+2, buf)
 }
 
-// fullBound is the raw-PC bound of a full capture: StackDepth application
-// frames below wrap Dimmunix frames.
+// fullBound is the raw-PC bound of a full capture: captureDepth
+// application frames below wrap Dimmunix frames.
 func (rt *Runtime) fullBound(wrap int) int {
-	return min(rt.cfg.StackDepth+wrap, stack.MaxCaptureDepth)
+	return min(rt.cfg.captureDepth+wrap, stack.MaxCaptureDepth)
 }
 
 // captureStack records the caller's call stack with Dimmunix's own frames
@@ -152,7 +152,7 @@ func (t *Thread) captureStack(extraSkip int) *stack.Interned {
 // into Runtime.wrapDepth here, before the stack can enter the pcCache, so
 // the recorded depth is never below that of any stack a capture can
 // return. When the walk filled a bound that left the application fewer
-// than StackDepth frames, outer frames may have been cut off: internPCs
+// than captureDepth frames, outer frames may have been cut off: internPCs
 // then returns nil and the caller captures again under the raised bound.
 func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 	rt := t.rt
@@ -173,12 +173,12 @@ func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 			break
 		}
 	}
-	if len(pcs) == bound && bound < stack.MaxCaptureDepth && bound-i < rt.cfg.StackDepth {
+	if len(pcs) == bound && bound < stack.MaxCaptureDepth && bound-i < rt.cfg.captureDepth {
 		return nil
 	}
 	s := raw[i:]
-	if len(s) > rt.cfg.StackDepth {
-		s = s[:rt.cfg.StackDepth]
+	if len(s) > rt.cfg.captureDepth {
+		s = s[:rt.cfg.captureDepth]
 	}
 	in := rt.interner.Intern(s.Clone())
 	rt.pcCache.Put(pcs, in)
@@ -195,7 +195,7 @@ func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 // and the hot path walks only that many application frames — or
 // MatchDepth, if larger, so a newly archived signature's matching window
 // stays covered by the key — below the wrapper ladder, instead of the
-// full StackDepth. A published ShallowDepth of 0 (calibration-live or
+// full captureDepth. A published ShallowDepth of 0 (calibration-live or
 // depth<=0 signatures) means only the full walk is sound.
 //
 // Either way the raw PCs are looked up once in the runtime-wide call-site

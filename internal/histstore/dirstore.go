@@ -88,9 +88,6 @@ func NewDirStore(dir string) (*DirStore, error) {
 	}, nil
 }
 
-// Dir returns the shared directory.
-func (s *DirStore) Dir() string { return s.dir }
-
 // JournalPath returns this handle's own journal file path.
 func (s *DirStore) JournalPath() string { return s.journal }
 
@@ -103,18 +100,6 @@ func (s *DirStore) SetJournalRecordLimit(n int) {
 		n = DefaultJournalRecords
 	}
 	s.maxRecords = n
-}
-
-// SetJournalExpiry sets how long a journal may go without an append
-// before Load folds it into the baseline (0 restores the default,
-// negative disables departed-journal compaction entirely).
-func (s *DirStore) SetJournalExpiry(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d == 0 {
-		d = DefaultJournalExpiry
-	}
-	s.expiry = d
 }
 
 // staleJournal is a departed-journal compaction candidate observed

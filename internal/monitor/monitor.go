@@ -516,10 +516,6 @@ func (m *Monitor) pruneSuppressed() {
 	}
 }
 
-// RAG exposes the monitor's graph for tests and diagnostics. Do not use
-// concurrently with a running loop.
-func (m *Monitor) RAG() *rag.RAG { return m.g }
-
 // PendingEpisodes returns the number of unconcluded FP episodes.
 func (m *Monitor) PendingEpisodes() int {
 	m.mu.Lock()

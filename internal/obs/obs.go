@@ -142,7 +142,7 @@ func (SyncRoundDone) isEvent()     {}
 func (HistoryChanged) isEvent()    {}
 
 // DefaultBufferSize is the ring (and per-subscriber channel) capacity
-// when the runtime's EventBuffer is left zero.
+// New selects when given no size.
 const DefaultBufferSize = 256
 
 // Bus is the bounded non-blocking dispatcher. Create with New; it is

@@ -44,8 +44,8 @@ import (
 
 const magic = "DIMXTRC1"
 
-// DefaultMaxBytes bounds one trace file when Config.TraceMaxBytes is
-// left zero: 64 MiB holds tens of millions of events, while rotation
+// DefaultMaxBytes bounds one trace file of a runtime's journal (and of
+// a recorder given no bound): 64 MiB holds tens of millions of events, while rotation
 // keeps a long-running canary from filling the disk.
 const DefaultMaxBytes int64 = 64 << 20
 

@@ -46,7 +46,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestStackDiversity(t *testing.T) {
-	rt := newRT(t, core.Config{StackDepth: 16})
+	rt := newRT(t, core.Config{})
 	r := NewRunner(rt, Config{Threads: 4, Locks: 2})
 	// Warmup, not Run: a plain run records call paths alike in their
 	// innermost MatchDepth frames as the first of them seen.

@@ -224,40 +224,52 @@ func TestInitRejectsMalformedEnv(t *testing.T) {
 	}
 }
 
+// readSource returns a file of this package's directory.
+func readSource(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// namesIn returns the sorted distinct first submatches of pattern in text.
+func namesIn(text, pattern string) []string {
+	seen := map[string]bool{}
+	for _, m := range regexp.MustCompile(pattern).FindAllStringSubmatch(text, -1) {
+		seen[m[1]] = true
+	}
+	out := make([]string, 0, len(seen))
+	for n := range seen {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// optionNames lists the With* constructors options.go declares.
+func optionNames(t *testing.T) []string {
+	return namesIn(readSource(t, "options.go"), `(?m)^func (With[A-Za-z]+)\(`)
+}
+
 // TestPublicSurfaceDrift pins the configuration surface: the lab-only
-// knobs stay off Config, and the README Options table, the With*
-// constructors in options.go, the DIMMUNIX_* variables the code reads and
-// default.go's env doc block all list the same names.
+// knobs and the derived or fixed values stay off Config, and the README
+// Options table, the With* constructors in options.go, the DIMMUNIX_*
+// variables the code reads and default.go's env doc block all list the
+// same names.
 func TestPublicSurfaceDrift(t *testing.T) {
 	cfg := reflect.TypeOf(dimmunix.Config{})
-	for _, name := range []string{"Guard", "MaxThreads", "IgnoreDecisions", "ProbeDepth", "DisableFastPath"} {
+	for _, name := range []string{
+		"Guard", "MaxThreads", "IgnoreDecisions", "ProbeDepth", "DisableFastPath",
+		"StackDepth", "EventBuffer", "EventBatch", "TraceMaxBytes", "CalibMaxDepth", "CalibNA", "CalibNT",
+	} {
 		if _, ok := cfg.FieldByName(name); ok {
 			t.Errorf("Config.%s is back on the public surface", name)
 		}
 	}
 
-	read := func(path string) string {
-		t.Helper()
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	names := func(text, pattern string) []string {
-		seen := map[string]bool{}
-		for _, m := range regexp.MustCompile(pattern).FindAllStringSubmatch(text, -1) {
-			seen[m[1]] = true
-		}
-		out := make([]string, 0, len(seen))
-		for n := range seen {
-			out = append(out, n)
-		}
-		sort.Strings(out)
-		return out
-	}
-
-	readme := read("README.md")
+	readme := readSource(t, "README.md")
 	_, table, ok := strings.Cut(readme, "\n## Options\n")
 	if !ok {
 		t.Fatal("README has no Options section")
@@ -271,20 +283,152 @@ func TestPublicSurfaceDrift(t *testing.T) {
 		}
 	}
 
-	defaults := read("default.go")
+	defaults := readSource(t, "default.go")
 	// DIMMUNIX_SYNC_TOKEN is read where the HTTP store is opened.
-	envRead := names(defaults+read("internal/histstore/store.go"), `"(DIMMUNIX_[A-Z_]+)"`)
+	envRead := namesIn(defaults+readSource(t, "internal/histstore/store.go"), `"(DIMMUNIX_[A-Z_]+)"`)
 	for _, c := range []struct {
 		what      string
 		got, want []string
 	}{
-		{"README With* rows vs options.go", names(optCol, `(With[A-Za-z]+)\(`), names(read("options.go"), `(?m)^func (With[A-Za-z]+)\(`)},
-		{"README env column vs variables read", names(envCol, `(DIMMUNIX_[A-Z_]+)`), envRead},
-		{"default.go env doc block vs variables read", names(defaults, `(?m)^//\t(DIMMUNIX_[A-Z_]+)`), envRead},
+		{"README With* rows vs options.go", namesIn(optCol, `(With[A-Za-z]+)\(`), optionNames(t)},
+		{"README env column vs variables read", namesIn(envCol, `(DIMMUNIX_[A-Z_]+)`), envRead},
+		{"default.go env doc block vs variables read", namesIn(defaults, `(?m)^//\t(DIMMUNIX_[A-Z_]+)`), envRead},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			t.Errorf("%s:\n got  %v\n want %v", c.what, c.got, c.want)
 		}
+	}
+}
+
+// TestOptionsSetTheirField: every With* constructor is a shorthand for
+// one Config field — applied to a zero Config it yields exactly the
+// literal it documents (function values compare by nil-ness), and options
+// after WithConfig refine the injected Config instead of replacing it.
+func TestOptionsSetTheirField(t *testing.T) {
+	store, err := dimmunix.OpenHistoryStore(filepath.Join(t.TempDir(), "store.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	whole := dimmunix.Config{Tau: time.Second, Calibrate: true, Immunity: dimmunix.StrongImmunity}
+	rows := []struct {
+		name string
+		opts []dimmunix.Option
+		want dimmunix.Config
+	}{
+		{"WithConfig", []dimmunix.Option{dimmunix.WithTau(time.Hour), dimmunix.WithConfig(whole), dimmunix.WithMatchDepth(3)},
+			dimmunix.Config{Tau: time.Second, Calibrate: true, Immunity: dimmunix.StrongImmunity, MatchDepth: 3}},
+		{"WithHistory", []dimmunix.Option{dimmunix.WithHistory("h.json")}, dimmunix.Config{HistoryPath: "h.json"}},
+		{"WithHistoryStore", []dimmunix.Option{dimmunix.WithHistoryStore(store)}, dimmunix.Config{HistoryStore: store}},
+		{"WithHistorySync", []dimmunix.Option{dimmunix.WithHistorySync("dir:/x")}, dimmunix.Config{HistorySync: "dir:/x"}},
+		{"WithSyncInterval", []dimmunix.Option{dimmunix.WithSyncInterval(-1)}, dimmunix.Config{SyncInterval: -1}},
+		{"WithTau", []dimmunix.Option{dimmunix.WithTau(7 * time.Millisecond)}, dimmunix.Config{Tau: 7 * time.Millisecond}},
+		{"WithMatchDepth", []dimmunix.Option{dimmunix.WithMatchDepth(9)}, dimmunix.Config{MatchDepth: 9}},
+		{"WithMaxYield", []dimmunix.Option{dimmunix.WithMaxYield(time.Minute)}, dimmunix.Config{MaxYield: time.Minute}},
+		{"WithThreadTTL", []dimmunix.Option{dimmunix.WithThreadTTL(-1)}, dimmunix.Config{ThreadTTL: -1}},
+		{"WithRecovery", []dimmunix.Option{dimmunix.WithRecovery(func(dimmunix.DeadlockInfo) {})},
+			dimmunix.Config{OnDeadlock: func(dimmunix.DeadlockInfo) {}}},
+		{"WithAbortRecovery", []dimmunix.Option{dimmunix.WithAbortRecovery()}, dimmunix.Config{RecoverAborts: true}},
+		{"WithObserver", []dimmunix.Option{dimmunix.WithObserver(func(dimmunix.Event) {}), dimmunix.WithObserver(func(dimmunix.Event) {})},
+			dimmunix.Config{Observers: []func(dimmunix.Event){func(dimmunix.Event) {}, func(dimmunix.Event) {}}}},
+	}
+
+	// Function values only compare to nil: funcsOf reduces them to their
+	// nil-ness and rest is the Config without them.
+	funcsOf := func(c dimmunix.Config) []bool {
+		set := []bool{c.OnDeadlock != nil, c.OnStarvation != nil}
+		for _, o := range c.Observers {
+			set = append(set, o != nil)
+		}
+		return set
+	}
+	rest := func(c dimmunix.Config) dimmunix.Config {
+		c.OnDeadlock, c.OnStarvation, c.Observers = nil, nil, nil
+		return c
+	}
+	var covered []string
+	for _, row := range rows {
+		covered = append(covered, row.name)
+		var got dimmunix.Config
+		for _, o := range row.opts {
+			o(&got)
+		}
+		if !reflect.DeepEqual(funcsOf(got), funcsOf(row.want)) || !reflect.DeepEqual(rest(got), rest(row.want)) {
+			t.Errorf("%s:\n got  %+v\n want %+v", row.name, got, row.want)
+		}
+	}
+	sort.Strings(covered)
+	if want := optionNames(t); !reflect.DeepEqual(covered, want) {
+		t.Errorf("rows cover %v, options.go declares %v", covered, want)
+	}
+}
+
+// TestEnvSetsItsField: every DIMMUNIX_* variable default.go reads lands
+// in its Config field, a malformed value makes Init fail naming the
+// variable, and the variables that no longer exist are ignored.
+func TestEnvSetsItsField(t *testing.T) {
+	dir := t.TempDir()
+	hist, journals, journal := filepath.Join(dir, "h.json"), "dir:"+filepath.Join(dir, "journals"), filepath.Join(dir, "trace.bin")
+	rows := []struct {
+		env, good, field string
+		want             any
+		bad              string // "" = any string is well-formed
+	}{
+		{"DIMMUNIX_HISTORY", hist, "HistoryPath", hist, ""},
+		{"DIMMUNIX_HISTORY_SYNC", journals, "HistorySync", journals, ""},
+		{"DIMMUNIX_SYNC_INTERVAL", "3s", "SyncInterval", 3 * time.Second, "3"},
+		{"DIMMUNIX_SHUTDOWN_TIMEOUT", "250ms", "ShutdownTimeout", 250 * time.Millisecond, "soon"},
+		{"DIMMUNIX_TAU", "20ms", "Tau", 20 * time.Millisecond, "20"},
+		{"DIMMUNIX_MODE", "instrument", "Mode", dimmunix.ModeInstrument, "sideways"},
+		{"DIMMUNIX_IMMUNITY", "strong", "Immunity", dimmunix.StrongImmunity, "total"},
+		{"DIMMUNIX_RECOVERY", "abort", "RecoverAborts", true, "retry"},
+		{"DIMMUNIX_MATCH_DEPTH", "6", "MatchDepth", 6, "deep"},
+		{"DIMMUNIX_MAX_YIELD", "1s", "MaxYield", time.Second, "1"},
+		{"DIMMUNIX_CALIBRATE", "true", "Calibrate", true, "maybe"},
+		{"DIMMUNIX_DISCARD_OBSOLETE", "1", "DiscardObsolete", true, "maybe"},
+		{"DIMMUNIX_THREAD_TTL", "-1s", "ThreadTTL", -time.Second, "never"},
+		{"DIMMUNIX_TRACE", journal, "TracePath", journal, ""},
+	}
+	if err := dimmunix.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dimmunix.Shutdown() })
+
+	var covered []string
+	for _, row := range rows {
+		covered = append(covered, row.env)
+		t.Run(row.env, func(t *testing.T) {
+			t.Setenv(row.env, row.good)
+			if err := dimmunix.Init(); err != nil {
+				t.Fatalf("%s=%q: Init: %v", row.env, row.good, err)
+			}
+			got := reflect.ValueOf(dimmunix.Default().Config()).FieldByName(row.field).Interface()
+			if err := dimmunix.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, row.want) {
+				t.Errorf("%s=%q: Config.%s = %v, want %v", row.env, row.good, row.field, got, row.want)
+			}
+			if row.bad == "" {
+				return
+			}
+			t.Setenv(row.env, row.bad)
+			if err := dimmunix.Init(); err == nil || !strings.Contains(err.Error(), row.env) {
+				dimmunix.Shutdown()
+				t.Errorf("%s=%q: Init = %v, want an error naming the variable", row.env, row.bad, err)
+			}
+		})
+	}
+	sort.Strings(covered)
+	if want := namesIn(readSource(t, "default.go"), `"(DIMMUNIX_[A-Z_]+)"`); !reflect.DeepEqual(covered, want) {
+		t.Errorf("rows cover %v, default.go reads %v", covered, want)
+	}
+
+	for _, gone := range []string{"DIMMUNIX_STACK_DEPTH", "DIMMUNIX_EVENT_BUFFER", "DIMMUNIX_EVENT_BATCH", "DIMMUNIX_TRACE_MAX_BYTES"} {
+		t.Setenv(gone, "garbage")
+	}
+	if err := dimmunix.Init(); err != nil {
+		t.Fatalf("Init with only removed variables set: %v", err)
 	}
 }
 
