@@ -158,8 +158,8 @@ func main() {
 		if stats.SyncRounds == 0 {
 			fatal(fmt.Errorf("role b: no sync rounds ran despite convergence"))
 		}
-		fmt.Printf("role b: clean run, %d yields over %d sync rounds (%d pulls, %d pushes) — immunity acquired without deadlocking\n",
-			stats.Yields, stats.SyncRounds, stats.SyncPulls, stats.SyncPushes)
+		fmt.Printf("role b: clean run, %d yields over %d sync rounds (%d pulls, %d pushes, %d covered) — immunity acquired without deadlocking\n",
+			stats.Yields, stats.SyncRounds, stats.SyncPulls, stats.SyncPushes, stats.SyncCovered)
 	case "c":
 		// The store is expected to be dead (the CI step killed the
 		// daemon). Local immunity must be unimpaired: the deadlock is

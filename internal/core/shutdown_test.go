@@ -65,9 +65,11 @@ func TestStopBoundedUnderStoreOutage(t *testing.T) {
 	cfg.ShutdownTimeout = budget
 	rt := MustNew(cfg)
 
-	// The loaded history is already "dirty" relative to the never-pushed
-	// syncer state, so the very first round pushes — and hangs. Wait for
-	// a round to actually be in flight inside the stalled push.
+	// The runtime holds a signature the daemon's (empty) snapshot lacks,
+	// so the next round pushes — a round whose pull covers the local
+	// history would not — and hangs. Wait for a round to actually be in
+	// flight inside the stalled push.
+	rt.History().Add(roundSig(1))
 	waitFor(t, "a sync round to block in store I/O", func() bool {
 		return stalled.Load() > 0
 	})
@@ -93,6 +95,7 @@ func TestSyncNowHonorsCallerContext(t *testing.T) {
 	cfg.SyncInterval = -1 // manual rounds only
 	rt := MustNew(cfg)
 	defer rt.Stop()
+	rt.History().Add(roundSig(1)) // something the daemon lacks: the push is what hangs
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()

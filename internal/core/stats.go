@@ -69,6 +69,7 @@ type StatsSnapshot struct {
 	SyncRounds   uint64 `json:"sync_rounds"`
 	SyncPulls    uint64 `json:"sync_pulls"`
 	SyncPushes   uint64 `json:"sync_pushes"`
+	SyncCovered  uint64 `json:"sync_covered"`
 	SyncPorted   uint64 `json:"sync_ported"`
 	SyncErrors   uint64 `json:"sync_errors"`
 	SyncBackoffs uint64 `json:"sync_backoffs"`
@@ -163,6 +164,7 @@ func (rt *Runtime) Stats() StatsSnapshot {
 		SyncRounds:   mc.SyncRounds.Load(),
 		SyncPulls:    mc.SyncPulls.Load(),
 		SyncPushes:   mc.SyncPushes.Load(),
+		SyncCovered:  mc.SyncCovered.Load(),
 		SyncPorted:   mc.SyncPorted.Load(),
 		SyncErrors:   mc.SyncErrors.Load(),
 		SyncBackoffs: mc.SyncBackoffs.Load(),

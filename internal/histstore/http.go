@@ -53,6 +53,13 @@ type Server struct {
 	// it merges nothing new, so durability is eventually restored.
 	backingDirty bool
 
+	// snap is the compact snapshot GET /v1/history serves, marshaled at
+	// sequence snapSeq: a version is marshaled once however many clients
+	// pull it, and rebuilt after a push that changed something (seq
+	// starts at 1, so the zero snapSeq never matches).
+	snap    []byte
+	snapSeq uint64
+
 	started time.Time
 	stats   ServerStats
 }
@@ -158,7 +165,8 @@ func (s *Server) authorized(r *http.Request) bool {
 //
 //	GET  /v1/version  → {"version":"<seq>"} — the cheap probe
 //	GET  /v1/history  → format-v2 snapshot, version in X-Dimmunix-History-Version
-//	POST /v1/history  → join the posted snapshot; returns {"version","changed"}
+//	POST /v1/history  → join the posted snapshot; returns {"version","prev","changed"},
+//	                    prev being the version immediately before the join
 //	                    (401 when a push token is configured and absent/wrong)
 //	GET  /statusz     → daemon status JSON: version, per-signature summary,
 //	                    served-request counters (the fleet observability
@@ -210,7 +218,7 @@ func (s *Server) Handler() http.Handler {
 		case http.MethodGet:
 			s.stats.PullsServed.Add(1)
 			s.mu.Lock()
-			data, err := s.hist.MarshalJSONCompact()
+			data, err := s.snapshotLocked()
 			v := s.versionLocked()
 			s.mu.Unlock()
 			if err != nil {
@@ -238,6 +246,7 @@ func (s *Server) Handler() http.Handler {
 				return
 			}
 			s.mu.Lock()
+			prev := s.versionLocked()
 			changed := s.hist.Merge(in)
 			if changed > 0 {
 				s.stats.PushesChanged.Add(1)
@@ -269,12 +278,26 @@ func (s *Server) Handler() http.Handler {
 			v := s.versionLocked()
 			s.mu.Unlock()
 			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(map[string]any{"version": string(v), "changed": changed})
+			json.NewEncoder(w).Encode(map[string]any{"version": string(v), "prev": string(prev), "changed": changed})
 		default:
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		}
 	})
 	return mux
+}
+
+// snapshotLocked returns the compact snapshot of the current sequence,
+// marshaling it on the first pull after a change. The returned bytes are
+// never written again, so callers may use them after releasing s.mu.
+func (s *Server) snapshotLocked() ([]byte, error) {
+	if s.snapSeq != s.seq {
+		data, err := s.hist.MarshalJSONCompact()
+		if err != nil {
+			return nil, err
+		}
+		s.snap, s.snapSeq = data, s.seq
+	}
+	return s.snap, nil
 }
 
 // versionLocked prefixes the push sequence with the daemon's startup
@@ -388,25 +411,36 @@ func (s *HTTPStore) Load(ctx context.Context) (*signature.History, Version, erro
 
 // Push posts h to the daemon, which joins it into the fleet history.
 func (s *HTTPStore) Push(ctx context.Context, h *signature.History) (Version, error) {
+	now, _, err := s.PushPrev(ctx, h)
+	return now, err
+}
+
+// PushPrev is Push that also returns the daemon's version immediately
+// before the join ("" from a daemon that predates the "prev" reply
+// field). prev equal to the version the caller last pulled means no
+// other writer came in between, so now holds nothing the caller lacks —
+// the sync round uses that to skip re-pulling its own push.
+func (s *HTTPStore) PushPrev(ctx context.Context, h *signature.History) (now, prev Version, err error) {
 	data, err := h.MarshalJSONCompact()
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
 	resp, err := s.do(ctx, http.MethodPost, s.base+"/v1/history", bytes.NewReader(data))
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return "", httpError("push", resp)
+		return "", "", httpError("push", resp)
 	}
 	var out struct {
 		Version string `json:"version"`
+		Prev    string `json:"prev"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", fmt.Errorf("histstore: %w", err)
+		return "", "", fmt.Errorf("histstore: %w", err)
 	}
-	return Version(out.Version), nil
+	return Version(out.Version), Version(out.Prev), nil
 }
 
 // Probe asks the daemon for its version sequence.

@@ -148,6 +148,7 @@ type Counters struct {
 	SyncRounds   atomic.Uint64 // completed rounds (loop, kicks, SyncNow)
 	SyncPulls    atomic.Uint64 // rounds that merged remote changes in
 	SyncPushes   atomic.Uint64 // rounds that published local changes
+	SyncCovered  atomic.Uint64 // rounds whose pull held all the local history did: no push
 	SyncPorted   atomic.Uint64 // pulled snapshots run through sigport
 	SyncErrors   atomic.Uint64 // store errors (retried next round)
 	SyncBackoffs atomic.Uint64 // loop delays stretched by failure backoff

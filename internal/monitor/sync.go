@@ -34,7 +34,10 @@ const DefaultSyncMaxBackoff = time.Minute
 // so the PR 2 fast path's cached safe-markers self-invalidate and remote
 // signatures take effect on the very next lock request. Local changes
 // (newly archived signatures, removals, disabled-flips) are pushed back
-// the same round: pull → merge → push.
+// the same round: pull → merge → push. A round moves each snapshot at
+// most once: what was just pulled is not pushed back (a round whose
+// pull already covers the local history does not push), and a push that
+// was the only thing to move the store's version is not pulled again.
 //
 // Outage discipline: store I/O never runs under syncMu (the guard only
 // covers the lastSeen/lastPushed bookkeeping), every round carries a
@@ -64,6 +67,23 @@ type syncer struct {
 	kickCh chan struct{}
 	stopCh chan struct{}
 	doneCh chan struct{}
+}
+
+// prevPusher is the optional store capability behind adopting a clean
+// push: a Push that also reports the store's version immediately before
+// the join (histstore.HTTPStore against a daemon that replies "prev").
+type prevPusher interface {
+	PushPrev(ctx context.Context, h *signature.History) (now, prev histstore.Version, err error)
+}
+
+// push publishes h, reporting the store's version before the join when
+// the backend can tell ("" otherwise).
+func (s *syncer) push(ctx context.Context, h *signature.History) (now, prev histstore.Version, err error) {
+	if pp, ok := s.store.(prevPusher); ok {
+		return pp.PushPrev(ctx, h)
+	}
+	now, err = s.store.Push(ctx, h)
+	return now, "", err
 }
 
 func newSyncer(store histstore.Store, rules []sigport.Rule, fingerprint string) *syncer {
@@ -173,22 +193,43 @@ func (m *Monitor) syncOnce(ctx context.Context) error {
 	}
 	pulled := 0
 	pushed := false
+	// observed is the store version whose whole content the local history
+	// is known to hold this round: the version just pulled, or the probed
+	// one when it equals lastSeen. "" = unknown (never adopt a push).
+	var observed histstore.Version
+	// covered: the round pulled and the local history holds nothing the
+	// pulled snapshot lacks, so there is nothing to push.
+	covered := false
 
 	v, err := s.store.Probe(ctx)
 	if err != nil {
 		fail(err)
 	} else if v == "" || v != lastSeen {
-		remote, rv, err := s.store.Load(ctx)
+		stored, rv, err := s.store.Load(ctx)
 		if err != nil {
 			fail(err)
 		} else {
+			remote := stored
 			if len(s.rules) > 0 && s.fingerprint != "" &&
-				remote.Fingerprint() != "" && remote.Fingerprint() != s.fingerprint {
+				stored.Fingerprint() != "" && stored.Fingerprint() != s.fingerprint {
 				// The snapshot comes from another code revision: apply the
 				// §8 porting rules before joining, so its call-stack
 				// locations line up with this build's.
-				remote, _ = sigport.Port(remote, s.rules)
+				remote, _ = sigport.Port(stored, s.rules)
 				m.Counters.SyncPorted.Add(1)
+			}
+			// Ask the snapshot as the store returned it whether the local
+			// history — and what porting made of the snapshot — holds
+			// anything it lacks, by the join itself. This runs before the
+			// live merge because the merge adopts the snapshot's
+			// *Signature values, after which it is no longer a private
+			// record of what the store holds. (Unported, remote is stored,
+			// which now also holds clones of any local news; the live
+			// merge finds those entries held already and leaves them.)
+			lv := m.hist.Version()
+			news := stored.Merge(m.snapshotForStore())
+			if remote != stored {
+				news += stored.Merge(remote)
 			}
 			// The join may adopt disabled/revision state onto live
 			// signatures the avoidance matchers read — guard scope.
@@ -197,24 +238,43 @@ func (m *Monitor) syncOnce(ctx context.Context) error {
 			})
 			if pulled > 0 {
 				m.Counters.SyncPulls.Add(1)
+				lv++ // Merge bumps the version once iff it changed anything
+			}
+			if covered = news == 0; covered {
+				m.Counters.SyncCovered.Add(1)
 			}
 			m.syncMu.Lock()
 			s.lastSeen = rv
+			if covered && lv > s.lastPushed {
+				// All the local history held at lv is in the store, so
+				// neither the next round nor Stop's publish pushes it. A
+				// local mutation that slipped in since lv was read has
+				// moved the live version past lv, and is pushed then.
+				s.lastPushed = lv
+			}
 			m.syncMu.Unlock()
+			observed = rv
 		}
+	} else {
+		observed = v
 	}
 
-	if lv := m.hist.Version(); lv != lastPushed {
-		if _, err := s.store.Push(ctx, m.snapshotForStore()); err != nil {
+	if lv := m.hist.Version(); !covered && lv != lastPushed {
+		if now, prev, err := s.push(ctx, m.snapshotForStore()); err != nil {
 			fail(err)
 		} else {
-			// Deliberately NOT adopting the post-push version as lastSeen:
-			// a peer's change can land between this round's pull and push,
-			// and the push version would cover it — skipping it forever.
-			// The next probe re-pulls (a no-op self-merge at worst).
 			m.syncMu.Lock()
 			if lv > s.lastPushed {
 				s.lastPushed = lv
+			}
+			if observed != "" && prev == observed {
+				// A clean push: the store went from the version this round
+				// observed — whose content the local history holds — to
+				// now by this push alone, so the local history holds now
+				// too and the next probe need not re-pull it. A peer's
+				// write landing between the pull and the push makes prev
+				// differ, and the next round pulls it as before.
+				s.lastSeen = now
 			}
 			m.syncMu.Unlock()
 			m.Counters.SyncPushes.Add(1)

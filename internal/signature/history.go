@@ -558,6 +558,11 @@ func (h *History) compactTombsLocked() {
 // goroutine would race with lock traffic. Callers must hold that guard
 // across the clone (see avoidance.Cache.WithGuard); the returned copy
 // shares nothing mutable and can be serialized or pushed lock-free.
+//
+// The copy is for MarshalJSONCompact, Save and Merge only: its danger
+// index is the empty one NewHistory publishes, not rebuilt — more than
+// half the clone's cost, spent under the guard, on an index no consumer
+// of a store snapshot reads.
 func (h *History) CloneForStore() *History {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -580,7 +585,6 @@ func (h *History) CloneForStore() *History {
 		out.tombs[id] = t
 	}
 	out.version.Store(h.version.Load())
-	out.rebuildDangerLocked()
 	return out
 }
 

@@ -4,12 +4,14 @@
 package signature
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"dimmunix/internal/calib"
 	"dimmunix/internal/stack"
 )
 
@@ -497,5 +499,52 @@ func TestMergeNotifiesAdoptedDisableFlips(t *testing.T) {
 	}
 	if !foundEnable {
 		t.Fatalf("merge-adopted enable did not notify: ops=%v", ops)
+	}
+}
+
+// TestCloneForStoreMarshalsLikeItsSource pins what a store snapshot is
+// for: the clone serializes byte-identically to the history it was taken
+// from (entries, counters, calibration state, tombstones, fingerprint),
+// and it carries no danger index of its own — nothing that consumes a
+// store snapshot classifies stacks with it.
+func TestCloneForStoreMarshalsLikeItsSource(t *testing.T) {
+	h := NewHistory()
+	h.SetFingerprint("build-A")
+	keep := New(Deadlock, []Stack{syn(1), syn(2)}, 4)
+	keep.Calib = calib.NewState(8, 4, 16)
+	keep.AvoidCount, keep.FPCount = 7, 2
+	off := New(Starvation, []Stack{syn(3)}, 2)
+	gone := New(Deadlock, []Stack{syn(5), syn(6)}, 4)
+	h.Add(keep)
+	h.Add(off)
+	h.Add(gone)
+	h.SetDisabled(off.ID, true)
+	h.Remove(gone.ID)
+
+	want, err := h.MarshalJSONCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := h.CloneForStore()
+	got, err := c.MarshalJSONCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("clone marshals differently from its source:\n got %s\nwant %s", got, want)
+	}
+	if c.Version() != h.Version() {
+		t.Fatalf("clone version %d, source %d", c.Version(), h.Version())
+	}
+	if h.Danger().Len() == 0 {
+		t.Fatal("the source's danger index is empty; the test shows nothing")
+	}
+	if c.Danger().Len() != 0 {
+		t.Fatal("CloneForStore rebuilt a danger index nobody reads")
+	}
+	// The clone is private: mutating it leaves the source alone.
+	c.Remove(keep.ID)
+	if h.Get(keep.ID) == nil {
+		t.Fatal("removing from the clone removed from the source")
 	}
 }
