@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,6 +29,31 @@ const tokenHeader = "X-Dimmunix-Sync-Token"
 // history, §5.3 bounds its growth).
 const maxSnapshotBytes = 64 << 20
 
+// errBodyTooLarge is readBody's refusal of a body over its limit.
+var errBodyTooLarge = errors.New("histstore: snapshot body too large")
+
+// readBody reads r to EOF into a buffer sized from contentLength, so a
+// body of the declared length is read without regrowth. More than limit
+// bytes is an errBodyTooLarge error naming the limit — refused, never
+// truncated into a JSON syntax error. contentLength only sizes the
+// buffer: one that is absent (-1), negative or above the limit is
+// ignored, and one that lies costs at most a regrowth.
+func readBody(r io.Reader, contentLength, limit int64) ([]byte, error) {
+	if contentLength < 0 || contentLength > limit {
+		contentLength = 0
+	}
+	// ReadFrom wants MinRead spare bytes before the read that returns EOF.
+	buf := bytes.NewBuffer(make([]byte, 0, contentLength+bytes.MinRead))
+	n, err := buf.ReadFrom(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("histstore: read body: %w", err)
+	}
+	if n > limit {
+		return nil, fmt.Errorf("%w: more than the %d-byte limit", errBodyTooLarge, limit)
+	}
+	return buf.Bytes(), nil
+}
+
 // DefaultHTTPTimeout bounds one daemon request when the caller's context
 // carries no deadline of its own. Sync rounds pass per-round deadlines;
 // this is the safety net for bare-context callers (tools, tests), so no
@@ -48,6 +74,7 @@ type Server struct {
 	seq     uint64
 	backing Store
 	token   string // shared secret required on pushes ("" = open)
+	maxBody int64  // pushed-snapshot limit: maxSnapshotBytes outside tests
 	// backingDirty marks in-memory state the backing store has not
 	// accepted yet (a failed persist); the next push retries even when
 	// it merges nothing new, so durability is eventually restored.
@@ -131,7 +158,7 @@ func NewServer(backing Store) (*Server, error) {
 		}
 		hist = loaded
 	}
-	return &Server{hist: hist, epoch: time.Now().UnixNano(), seq: 1, backing: backing, started: time.Now()}, nil
+	return &Server{hist: hist, epoch: time.Now().UnixNano(), seq: 1, backing: backing, maxBody: maxSnapshotBytes, started: time.Now()}, nil
 }
 
 // History exposes the server's merged history (diagnostics, tests).
@@ -167,7 +194,8 @@ func (s *Server) authorized(r *http.Request) bool {
 //	GET  /v1/history  → format-v2 snapshot, version in X-Dimmunix-History-Version
 //	POST /v1/history  → join the posted snapshot; returns {"version","prev","changed"},
 //	                    prev being the version immediately before the join
-//	                    (401 when a push token is configured and absent/wrong)
+//	                    (401 when a push token is configured and absent/wrong,
+//	                    413 when the body exceeds the snapshot limit)
 //	GET  /statusz     → daemon status JSON: version, per-signature summary,
 //	                    served-request counters (the fleet observability
 //	                    endpoint; `dimmunix-hist stats <url>` pretty-prints it)
@@ -235,9 +263,13 @@ func (s *Server) Handler() http.Handler {
 				return
 			}
 			s.stats.PushesServed.Add(1)
-			body, err := io.ReadAll(io.LimitReader(r.Body, maxSnapshotBytes))
+			body, err := readBody(r.Body, r.ContentLength, s.maxBody)
 			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
+				code := http.StatusBadRequest
+				if errors.Is(err, errBodyTooLarge) {
+					code = http.StatusRequestEntityTooLarge
+				}
+				http.Error(w, err.Error(), code)
 				return
 			}
 			in := signature.NewHistory()
@@ -313,8 +345,9 @@ func (s *Server) versionLocked() Version {
 // fallback deadline), so sync rounds and shutdown publishes are bounded
 // by their callers, not by a transport-level constant.
 type HTTPStore struct {
-	base string
-	c    *http.Client
+	base    string
+	c       *http.Client
+	maxBody int64 // pulled-snapshot limit: maxSnapshotBytes outside tests
 	// token is atomic so SetToken on a live store (e.g. rotating the
 	// secret while the sync loop runs) never races in-flight requests.
 	token atomic.Value // string
@@ -324,8 +357,9 @@ type HTTPStore struct {
 // (e.g. "http://hist.internal:7676").
 func NewHTTPStore(base string) *HTTPStore {
 	return &HTTPStore{
-		base: strings.TrimSuffix(base, "/"),
-		c:    &http.Client{},
+		base:    strings.TrimSuffix(base, "/"),
+		c:       &http.Client{},
+		maxBody: maxSnapshotBytes,
 	}
 }
 
@@ -398,9 +432,9 @@ func (s *HTTPStore) Load(ctx context.Context) (*signature.History, Version, erro
 	if resp.StatusCode != http.StatusOK {
 		return nil, "", httpError("pull", resp)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxSnapshotBytes))
+	body, err := readBody(resp.Body, resp.ContentLength, s.maxBody)
 	if err != nil {
-		return nil, "", fmt.Errorf("histstore: %w", err)
+		return nil, "", err
 	}
 	h := signature.NewHistory()
 	if err := h.UnmarshalJSON(body); err != nil {

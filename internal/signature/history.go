@@ -1,6 +1,7 @@
 package signature
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -779,7 +780,7 @@ type persistedSig struct {
 	AbortCount  uint64      `json:"abort_count,omitempty"`
 	FPCount     uint64      `json:"fp_count,omitempty"`
 	TPCount     uint64      `json:"tp_count,omitempty"`
-	Calib       calib.State `json:"calib,omitempty"`
+	Calib       calib.State `json:"calib,omitzero"`
 }
 
 type persistedTomb struct {
@@ -802,11 +803,17 @@ type persistedHistory struct {
 }
 
 func (h *History) persistedLocked() persistedHistory {
-	p := persistedHistory{Format: FormatVersion, Fingerprint: h.fingerprint}
+	p := persistedHistory{
+		Format:      FormatVersion,
+		Fingerprint: h.fingerprint,
+		Signatures:  make([]persistedSig, 0, len(h.sigs)),
+	}
+	var buf []byte // one render buffer for every stack
 	for _, s := range h.sigs {
 		ps := persistedSig{
 			ID:          s.ID,
 			Kind:        s.Kind.String(),
+			Stacks:      make([]string, len(s.Stacks)),
 			Depth:       s.Depth,
 			Rev:         s.Rev,
 			Disabled:    s.Disabled,
@@ -818,41 +825,52 @@ func (h *History) persistedLocked() persistedHistory {
 			TPCount:     s.TPCount,
 			Calib:       s.Calib,
 		}
-		for _, st := range s.Stacks {
-			ps.Stacks = append(ps.Stacks, st.String())
+		for i, st := range s.Stacks {
+			buf = st.AppendTo(buf[:0])
+			ps.Stacks[i] = string(buf)
 		}
 		p.Signatures = append(p.Signatures, ps)
 	}
-	ids := make([]string, 0, len(h.tombs))
-	for id := range h.tombs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		t := h.tombs[id]
-		p.Tombstones = append(p.Tombstones, persistedTomb{ID: t.ID, Rev: t.Rev, DeletedUnix: t.DeletedUnix})
+	if len(h.tombs) > 0 {
+		p.Tombstones = make([]persistedTomb, 0, len(h.tombs))
+		for _, t := range h.tombs {
+			p.Tombstones = append(p.Tombstones, persistedTomb{ID: t.ID, Rev: t.Rev, DeletedUnix: t.DeletedUnix})
+		}
+		sort.Slice(p.Tombstones, func(i, j int) bool { return p.Tombstones[i].ID < p.Tombstones[j].ID })
 	}
 	return p
 }
 
-// MarshalJSON serializes the history (format v2, indented).
-func (h *History) MarshalJSON() ([]byte, error) {
+// marshal is the one encoder behind both serialized forms. HTML escaping
+// is off: the " < " frame separator is written literally, not as \u003c.
+func (h *History) marshal(indent bool) ([]byte, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return json.MarshalIndent(h.persistedLocked(), "", "  ")
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if indent {
+		enc.SetIndent("", "  ")
+	}
+	if err := enc.Encode(h.persistedLocked()); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), nil // Encode's line terminator
 }
+
+// MarshalJSON serializes the history (format v2, indented).
+func (h *History) MarshalJSON() ([]byte, error) { return h.marshal(true) }
 
 // MarshalJSONCompact serializes the history as a single line (format v2),
 // the record form used by DirStore journals.
-func (h *History) MarshalJSONCompact() ([]byte, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return json.Marshal(h.persistedLocked())
-}
+func (h *History) MarshalJSONCompact() ([]byte, error) { return h.marshal(false) }
 
 // UnmarshalJSON replaces the in-memory set with the serialized one.
 // Formats v1 (and the pre-format files with format 0) load transparently:
-// entries get revision 1 and there are no tombstones.
+// entries get revision 1 and there are no tombstones. Signature IDs are
+// recomputed from the stacks, never read from the wire. The new set is
+// built before h is touched, so a decode that fails leaves h as it was
+// and readers never see a half-replaced set.
 func (h *History) UnmarshalJSON(data []byte) error {
 	var p persistedHistory
 	if err := json.Unmarshal(data, &p); err != nil {
@@ -861,40 +879,40 @@ func (h *History) UnmarshalJSON(data []byte) error {
 	if p.Format > FormatVersion {
 		return fmt.Errorf("history: format %d is newer than this build supports (%d)", p.Format, FormatVersion)
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.sigs = nil
-	h.byID = make(map[string]*Signature)
-	h.tombs = make(map[string]Tombstone)
-	h.fingerprint = p.Fingerprint
+	tombs := make(map[string]Tombstone, len(p.Tombstones))
 	for _, pt := range p.Tombstones {
 		rev := pt.Rev
 		if rev == 0 {
 			rev = 1
 		}
-		h.tombs[pt.ID] = Tombstone{ID: pt.ID, Rev: rev, DeletedUnix: pt.DeletedUnix}
+		tombs[pt.ID] = Tombstone{ID: pt.ID, Rev: rev, DeletedUnix: pt.DeletedUnix}
 	}
-	for _, ps := range p.Signatures {
+	sigs := make([]*Signature, 0, len(p.Signatures))
+	byID := make(map[string]*Signature, len(p.Signatures))
+	now := time.Now().Unix()
+	for i := range p.Signatures {
+		ps := &p.Signatures[i]
 		kind := Deadlock
 		if ps.Kind == "starvation" {
 			kind = Starvation
 		}
-		stacks := make([]stack.Stack, 0, len(ps.Stacks))
-		for _, raw := range ps.Stacks {
+		stacks := make([]stack.Stack, len(ps.Stacks))
+		for j, raw := range ps.Stacks {
 			st, err := stack.Parse(raw)
 			if err != nil {
 				return fmt.Errorf("history: signature %s: %w", ps.ID, err)
 			}
-			stacks = append(stacks, st)
+			stacks[j] = st
 		}
-		s := New(kind, stacks, ps.Depth)
+		s := newOwned(kind, stacks, ps.Depth)
 		s.Disabled = ps.Disabled
 		s.Rev = ps.Rev
 		if s.Rev == 0 {
 			s.Rev = 1 // v1 migration: every entry starts at revision 1
 		}
-		if ps.CreatedUnix != 0 {
-			s.CreatedUnix = ps.CreatedUnix
+		s.CreatedUnix = ps.CreatedUnix
+		if s.CreatedUnix == 0 {
+			s.CreatedUnix = now
 		}
 		s.Source = ps.Source
 		s.AvoidCount = ps.AvoidCount
@@ -902,21 +920,26 @@ func (h *History) UnmarshalJSON(data []byte) error {
 		s.FPCount = ps.FPCount
 		s.TPCount = ps.TPCount
 		s.Calib = ps.Calib
-		if _, dup := h.byID[s.ID]; dup {
+		if _, dup := byID[s.ID]; dup {
 			continue
 		}
 		// A malformed snapshot carrying both a live entry and a tombstone
 		// for one ID resolves by the merge rule: higher revision wins,
 		// ties go to the tombstone.
-		if t, ok := h.tombs[s.ID]; ok {
+		if t, ok := tombs[s.ID]; ok {
 			if s.Rev <= t.Rev {
 				continue
 			}
-			delete(h.tombs, s.ID)
+			delete(tombs, s.ID)
 		}
-		h.sigs = append(h.sigs, s)
-		h.byID[s.ID] = s
+		sigs = append(sigs, s)
+		byID[s.ID] = s
 	}
+
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.sigs, h.byID, h.tombs = sigs, byID, tombs
+	h.fingerprint = p.Fingerprint
 	h.compactTombsLocked()
 	h.version.Add(1)
 	h.rebuildDangerLocked()

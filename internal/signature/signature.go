@@ -108,40 +108,60 @@ type Signature struct {
 // New builds a canonical signature from a stack multiset. Stacks are
 // cloned and sorted; depth <= 0 selects DefaultDepth.
 func New(kind Kind, stacks []stack.Stack, depth int) *Signature {
-	if depth <= 0 {
-		depth = DefaultDepth
-	}
 	canon := make([]stack.Stack, len(stacks))
 	for i, s := range stacks {
 		canon[i] = s.Clone()
 	}
-	sortStacks(canon)
+	sig := newOwned(kind, canon, depth)
+	sig.CreatedUnix = time.Now().Unix()
+	return sig
+}
+
+// newOwned canonicalises a stack multiset the caller hands over (New's
+// clone, the decoder's freshly parsed stacks): it sorts stacks in place
+// and computes the ID. CreatedUnix is left for the caller.
+func newOwned(kind Kind, stacks []stack.Stack, depth int) *Signature {
+	if depth <= 0 {
+		depth = DefaultDepth
+	}
+	sortStacks(stacks)
 	return &Signature{
-		ID:          idOf(canon),
-		Kind:        kind,
-		Stacks:      canon,
-		Depth:       depth,
-		CreatedUnix: time.Now().Unix(),
+		ID:     idOf(stacks),
+		Kind:   kind,
+		Stacks: stacks,
+		Depth:  depth,
 	}
 }
 
+func stackLess(a, b stack.Stack) bool {
+	ha, hb := a.Hash(), b.Hash()
+	if ha != hb {
+		return ha < hb
+	}
+	return a.String() < b.String()
+}
+
+// sortStacks puts ss in canonical order. Persisted signatures arrive
+// already sorted, so order is checked before paying for a sort.
 func sortStacks(ss []stack.Stack) {
-	sort.Slice(ss, func(i, j int) bool {
-		hi, hj := ss[i].Hash(), ss[j].Hash()
-		if hi != hj {
-			return hi < hj
+	for i := 1; i < len(ss); i++ {
+		if stackLess(ss[i], ss[i-1]) {
+			sort.Slice(ss, func(i, j int) bool { return stackLess(ss[i], ss[j]) })
+			return
 		}
-		return ss[i].String() < ss[j].String()
-	})
+	}
 }
 
+// idOf hashes the canonical rendering of each stack, NUL-terminated.
 func idOf(canon []stack.Stack) string {
-	h := sha256.New()
+	buf := make([]byte, 0, 512) // stays on the goroutine stack for typical signatures
 	for _, s := range canon {
-		h.Write([]byte(s.String()))
-		h.Write([]byte{0})
+		buf = append(s.AppendTo(buf), 0)
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	sum := sha256.Sum256(buf)
+	var id [16]byte
+	hex.Encode(id[:], sum[:8])
+	return string(id[:])
 }
 
 // Size returns the number of stacks (threads) in the signature.

@@ -203,17 +203,27 @@ func (s Stack) HashAtDepth(depth int) uint64 {
 	return h
 }
 
-// String renders the stack as "f0@file:1 < f1@file:2 < ...", innermost
-// first, matching the persisted form.
-func (s Stack) String() string {
-	var b strings.Builder
+// AppendTo appends the canonical rendering of s — "f0@file:1 < f1@file:2
+// < ...", innermost first, the persisted form — to b and returns the
+// extended buffer. It is the only rendering of a stack: String wraps it,
+// and signature IDs hash it.
+func (s Stack) AppendTo(b []byte) []byte {
 	for i, f := range s {
 		if i > 0 {
-			b.WriteString(" < ")
+			b = append(b, " < "...)
 		}
-		b.WriteString(f.String())
+		b = append(b, f.Func...)
+		b = append(b, '@')
+		b = append(b, f.File...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(f.Line), 10)
 	}
-	return b.String()
+	return b
+}
+
+// String renders the stack in the persisted form (see AppendTo).
+func (s Stack) String() string {
+	return string(s.AppendTo(nil))
 }
 
 // Parse parses the String form back into a Stack.
@@ -222,10 +232,11 @@ func Parse(s string) (Stack, error) {
 	if s == "" {
 		return nil, errors.New("stack: empty stack string")
 	}
-	parts := strings.Split(s, " < ")
-	out := make(Stack, 0, len(parts))
-	for _, p := range parts {
-		f, err := ParseFrame(strings.TrimSpace(p))
+	out := make(Stack, 0, strings.Count(s, " < ")+1)
+	for more := true; more; {
+		var part string
+		part, s, more = strings.Cut(s, " < ")
+		f, err := ParseFrame(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err
 		}
