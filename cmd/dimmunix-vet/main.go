@@ -113,11 +113,10 @@ func main() {
 // not apply: a deliberate reproduction is exactly what the fleet wants
 // immunity to) and pushes the lowered signatures into the store file.
 func emitCycles(prog *lint.Program) {
-	opts := lint.LockOrderOptions{MaxCallDepth: *callDep, NoCtx: *ctxFlag == 0}
-	res := lint.AnalyzeLockOrder(prog, opts)
-	chres := lint.AnalyzeChanCycle(prog, opts)
+	all := lint.Analyze(prog, lint.DefaultLockOrderOptions)
+	res, chres := all.LockOrder, all.ChanCycle
 	cycles := append(append([]lint.ConfirmedCycle{}, res.Cycles...), chres.Cycles...)
-	h := lint.EmitHistoryCycles(cycles, lint.EmitOptions{Depth: *depth, Calibrate: *calib})
+	h := lint.EmitHistory(cycles, lint.EmitOptions{Depth: *depth, Calibrate: *calib})
 	if h.Len() == 0 {
 		fatal(fmt.Errorf("no lock-order or channel/lock cycles confirmed; nothing to emit (candidates: %d, guarded: %d, sequential: %d, rw: %d)",
 			res.Candidates, res.SuppressedGuard, res.SuppressedSeq, res.SuppressedRW))

@@ -28,8 +28,7 @@ var ChanCycle = &Analyzer{
 	Name: "chancycle",
 	Doc:  "report mixed channel/lock wait cycles (lock held across a blocking channel op whose counterpart needs the lock)",
 	RunProgram: func(pp *ProgramPass) error {
-		res := AnalyzeChanCycle(&Program{Fset: pp.Fset, Packages: pp.Packages}, DefaultLockOrderOptions)
-		for _, d := range res.Diags {
+		for _, d := range pp.analysis().ChanCycle.Diags {
 			pp.Report(d)
 		}
 		return nil
@@ -78,13 +77,8 @@ func chanNodeKey(pending, chKey string) string {
 
 func lockNodeKey(k string) string { return "L:" + k }
 
-// AnalyzeChanCycle builds the combined wait-for graph over the shared
-// whole-program instantiation and enumerates mixed cycles.
-func AnalyzeChanCycle(prog *Program, opts LockOrderOptions) *ChanCycleResult {
-	st := buildLoState(prog, opts)
-	return st.chanCycles()
-}
-
+// chanCycles builds the combined wait-for graph over the whole-program
+// instantiation and enumerates mixed cycles.
 func (st *loState) chanCycles() *ChanCycleResult {
 	res := &ChanCycleResult{}
 	edges := map[[2]string]*ccEdge{}
@@ -96,7 +90,7 @@ func (st *loState) chanCycles() *ChanCycleResult {
 			e = &ccEdge{from: from, to: to}
 			edges[id] = e
 		}
-		if len(e.occs) < st.opts.MaxOccs {
+		if len(e.occs) < maxOccs {
 			e.occs = append(e.occs, o)
 		}
 	}
@@ -160,7 +154,7 @@ func (st *loState) chanCycles() *ChanCycleResult {
 		descs[lockNodeKey(id[1])] = e.to.desc
 	}
 
-	// Enumerate elementary cycles (<= MaxCycleLen+1 nodes, so a 2-lock
+	// Enumerate elementary cycles (<= maxCycleLen+1 nodes, so a 2-lock
 	// inversion plus a channel hop still fits) containing at least one
 	// channel node, smallest-node-first for dedup.
 	adj := map[string][]string{}
@@ -177,7 +171,7 @@ func (st *loState) chanCycles() *ChanCycleResult {
 		ordered = append(ordered, n)
 	}
 	sort.Strings(ordered)
-	maxLen := st.opts.MaxCycleLen + 1
+	maxLen := maxCycleLen + 1
 
 	seen := map[string]bool{}
 	emit := func(cycle []string) {

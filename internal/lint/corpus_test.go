@@ -22,6 +22,8 @@ func TestLockOrderCorpus(t *testing.T) {
 		"lockorder_rwmutex",
 		"lockorder_instsplit",
 		"lockorder_chanpayload",
+		"lockorder_paths",
+		"lockorder_exclusive",
 	} {
 		t.Run(name, func(t *testing.T) {
 			RunCorpus(t, []*Analyzer{LockOrder}, ".", FixturePath(name))
@@ -71,17 +73,37 @@ func TestLockOrderSuppressionStats(t *testing.T) {
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			res := AnalyzeLockOrder(prog, LockOrderOptions{})
+			res := Analyze(prog, LockOrderOptions{}).LockOrder
 			if len(res.Cycles) != 0 {
 				t.Fatalf("control fixture produced cycles: %+v", res.Cycles)
 			}
 			if res.Candidates == 0 {
 				t.Fatalf("control fixture produced no candidates; the inversion was not even seen")
 			}
-			if field, ok := tc.check(res); !ok {
+			if field, ok := tc.check(&res); !ok {
 				t.Fatalf("expected %s > 0, got %+v", field, res)
 			}
 		})
+	}
+}
+
+// TestLockOrderExclusiveEdges pins why lockorder_exclusive is silent:
+// the graph has reverse()'s b -> a edge, and no path holds a while
+// taking b — not an a -> b edge suppressed later, but none at all.
+func TestLockOrderExclusiveEdges(t *testing.T) {
+	prog, err := Load(Options{Dir: "."}, FixturePath("lockorder_exclusive"))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	edges := map[string]bool{}
+	for _, e := range buildLoState(prog, LockOrderOptions{}).edges {
+		edges[e.from.desc+" -> "+e.to.desc] = true
+	}
+	if !edges["main.b -> main.a"] {
+		t.Fatalf("the b -> a edge is missing; the analyzer saw nothing: %v", edges)
+	}
+	if edges["main.a -> main.b"] {
+		t.Fatalf("an exclusive arm or a failed TryLock produced an a -> b edge: %v", edges)
 	}
 }
 
@@ -93,7 +115,7 @@ func TestLockOrderRWMutexStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	res := AnalyzeLockOrder(prog, LockOrderOptions{})
+	res := Analyze(prog, LockOrderOptions{}).LockOrder
 	if len(res.Cycles) != 1 {
 		t.Fatalf("want exactly the writer/reader cycle, got %d: %+v", len(res.Cycles), res.Cycles)
 	}
@@ -111,10 +133,10 @@ func TestLockOrderCtxWidening(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if res := AnalyzeLockOrder(prog, LockOrderOptions{}); len(res.Cycles) != 0 {
+	if res := Analyze(prog, LockOrderOptions{}).LockOrder; len(res.Cycles) != 0 {
 		t.Fatalf("ctx-refined analysis reported the disjoint instances: %+v", res.Cycles)
 	}
-	if res := AnalyzeLockOrder(prog, LockOrderOptions{NoCtx: true}); len(res.Cycles) == 0 {
+	if res := Analyze(prog, LockOrderOptions{NoCtx: true}).LockOrder; len(res.Cycles) == 0 {
 		t.Fatalf("NoCtx analysis should widen back to the type-keyed self-edge")
 	}
 }
@@ -128,7 +150,7 @@ func TestLockOrderAltRoots(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	res := AnalyzeLockOrder(prog, LockOrderOptions{})
+	res := Analyze(prog, LockOrderOptions{}).LockOrder
 	if len(res.Cycles) != 1 {
 		t.Fatalf("want the inversion deduplicated onto one report, got %d: %+v", len(res.Cycles), res.Cycles)
 	}
@@ -149,7 +171,7 @@ func TestChanCycleStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	res := AnalyzeChanCycle(prog, LockOrderOptions{})
+	res := Analyze(prog, LockOrderOptions{}).ChanCycle
 	if len(res.Diags) != 1 {
 		t.Fatalf("want 1 mixed-cycle diagnostic, got %d: %+v", len(res.Diags), res.Diags)
 	}

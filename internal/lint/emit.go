@@ -20,23 +20,17 @@ type EmitOptions struct {
 	Calibrate bool
 }
 
-// EmitSignatures lowers each confirmed cycle into a format-v2 signature:
-// one stack per cycle edge — the chain at which the holder acquired the
-// lock it carries into the cycle, exactly the stacks predict and the
+// EmitHistory lowers each confirmed cycle (lockorder's, chancycle's, or
+// both concatenated) into a format-v2 signature and returns them as a
+// mergeable history, the same shape dimmunix-predict pushes. A signature
+// has one stack per cycle edge — the chain at which the holder acquired
+// the lock it carries into the cycle, exactly the stacks predict and the
 // live monitor archive — with runtime-style pseudo-frames (Func as the
 // runtime names it, base filename, source line) so live captures
 // compare equal at the matched depth. Entries are stamped
-// Source="static".
-func EmitSignatures(res *LockOrderResult, opts EmitOptions) []*signature.Signature {
-	return EmitCycles(res.Cycles, opts)
-}
-
-// EmitCycles is the cycle-list form of EmitSignatures: lockorder and
-// chancycle findings lower through the same path (chancycle cycles
-// arrive pre-shaped, one edge per participating lock acquisition).
-func EmitCycles(cycles []ConfirmedCycle, opts EmitOptions) []*signature.Signature {
-	var out []*signature.Signature
-	seen := map[string]bool{}
+// Source="static"; cycles lowering to the same signature collapse.
+func EmitHistory(cycles []ConfirmedCycle, opts EmitOptions) *signature.History {
+	h := signature.NewHistory()
 	for _, c := range cycles {
 		stacks := make([]stack.Stack, 0, len(c.Edges))
 		minLen := stack.MaxCaptureDepth
@@ -72,25 +66,6 @@ func EmitCycles(cycles []ConfirmedCycle, opts EmitOptions) []*signature.Signatur
 			// reason the fixed depth is clamped.
 			sig.Calib = calib.NewState(depth, 0, 0)
 		}
-		if !seen[sig.ID] {
-			seen[sig.ID] = true
-			out = append(out, sig)
-		}
-	}
-	return out
-}
-
-// EmitHistory wraps the emitted signatures in a mergeable history, the
-// same shape dimmunix-predict pushes.
-func EmitHistory(res *LockOrderResult, opts EmitOptions) *signature.History {
-	return EmitHistoryCycles(res.Cycles, opts)
-}
-
-// EmitHistoryCycles wraps an explicit cycle list (e.g. lockorder plus
-// chancycle, concatenated) in a mergeable history.
-func EmitHistoryCycles(cycles []ConfirmedCycle, opts EmitOptions) *signature.History {
-	h := signature.NewHistory()
-	for _, sig := range EmitCycles(cycles, opts) {
 		h.Add(sig)
 	}
 	return h

@@ -19,13 +19,13 @@ func TestEmitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
 	}
-	res := AnalyzeLockOrder(prog, LockOrderOptions{})
+	res := Analyze(prog, LockOrderOptions{}).LockOrder
 	if len(res.Cycles) == 0 {
 		t.Fatalf("no cycles confirmed in lockorder_basic (candidates=%d seq=%d guard=%d)",
 			res.Candidates, res.SuppressedSeq, res.SuppressedGuard)
 	}
 
-	emitted := EmitHistory(res, EmitOptions{Calibrate: true})
+	emitted := EmitHistory(res.Cycles, EmitOptions{Calibrate: true})
 	if emitted.Len() == 0 {
 		t.Fatalf("no signatures emitted from %d cycles", len(res.Cycles))
 	}
@@ -99,7 +99,7 @@ func TestEmitThreeEdgeCycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
 	}
-	res := AnalyzeLockOrder(prog, LockOrderOptions{})
+	res := Analyze(prog, LockOrderOptions{}).LockOrder
 	var chain *ConfirmedCycle
 	for i := range res.Cycles {
 		if len(res.Cycles[i].Edges) >= 3 {
@@ -114,13 +114,13 @@ func TestEmitThreeEdgeCycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load chancycle fixture: %v", err)
 	}
-	chres := AnalyzeChanCycle(chprog, LockOrderOptions{})
+	chres := Analyze(chprog, LockOrderOptions{}).ChanCycle
 	if len(chres.Cycles) == 0 {
 		t.Fatalf("no mixed cycles lowered from the chancycle fixture")
 	}
 
 	cycles := append(append([]ConfirmedCycle{}, res.Cycles...), chres.Cycles...)
-	emitted := EmitHistoryCycles(cycles, EmitOptions{Calibrate: true})
+	emitted := EmitHistory(cycles, EmitOptions{Calibrate: true})
 	if emitted.Len() < 2 {
 		t.Fatalf("want signatures from both analyzers, got %d", emitted.Len())
 	}

@@ -24,7 +24,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -55,9 +54,8 @@ type Pass struct {
 // whole-program analyzer.
 type ProgramPass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Packages []*Package
-	report   func(Diagnostic)
+	*Program
+	report func(Diagnostic)
 }
 
 // RelatedInfo is a secondary position attached to a diagnostic (e.g.
@@ -190,7 +188,7 @@ func RunAnalyzers(prog *Program, analyzers []*Analyzer) (diags []Diagnostic, err
 	for _, a := range analyzers {
 		switch {
 		case a.RunProgram != nil:
-			pp := &ProgramPass{Analyzer: a, Fset: prog.Fset, Packages: prog.Packages, report: report}
+			pp := &ProgramPass{Analyzer: a, Program: prog, report: report}
 			if err := a.RunProgram(pp); err != nil {
 				errs = append(errs, fmt.Errorf("%s: %w", a.Name, err))
 			}
@@ -225,22 +223,4 @@ func Format(fset *token.FileSet, d Diagnostic) string {
 		fmt.Fprintf(&b, "\n\t%s: %s", fset.Position(r.Pos), r.Message)
 	}
 	return b.String()
-}
-
-// pathEnclosingInterval is a tiny helper: the innermost ast.Node stack
-// containing pos, outermost first. Used by analyzers that need the
-// enclosing function of a call.
-func pathEnclosing(f *ast.File, pos token.Pos) []ast.Node {
-	var path []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if n.Pos() <= pos && pos < n.End() {
-			path = append(path, n)
-			return true
-		}
-		return false
-	})
-	return path
 }

@@ -37,6 +37,7 @@ type Package struct {
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
+	result   *Result // the whole-program analysis, once computed
 }
 
 // Options configure Load.

@@ -11,21 +11,27 @@ import (
 
 // LockOrder is the headline analyzer: a whole-program static lock graph
 // whose nodes are lock identities (allocation sites, fields, globals)
-// and whose edges mean "acquires B while provably holding A", computed
-// by an intraprocedural held-set dataflow plus a bounded call-graph
-// closure. Interface method calls fan out through a class-hierarchy
-// call graph, locks carried over channels resolve through a send-site
-// payload table, and RWMutex read/write modes refine cycle feasibility
-// (a reader waiting on a reader never blocks). Every cycle is a
-// lock-order inversion candidate; candidates that fail the
+// and whose edges mean "acquires B while A may be held on the path to
+// B", computed by replaying each function's summary path by path over a
+// bounded call-graph closure. Every arm of a branch starts from the held
+// set before the branch, an arm that returns, panics or jumps away adds
+// nothing to the code after it, the code after continues with the union
+// of the arms that fall through, and an arm where a tested try-lock (or
+// a lock call's error) reports failure starts without that lock; a
+// caller continues with the union of the callee's returns. Loop bodies
+// are replayed once and deferred calls run at function exit, whichever
+// arm registered them. Interface method calls fan out through a
+// class-hierarchy call graph, locks carried over channels resolve
+// through a send-site payload table, and RWMutex read/write modes refine
+// cycle feasibility (a reader waiting on a reader never blocks). Every
+// cycle is a lock-order inversion candidate; candidates that fail the
 // predict-style soundness guards (same-goroutine-only reachability,
 // common dominating lock, reader-reader compatibility) are suppressed.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "report lock-order inversions (potential deadlocks) across the whole program",
 	RunProgram: func(pp *ProgramPass) error {
-		res := AnalyzeLockOrder(&Program{Fset: pp.Fset, Packages: pp.Packages}, DefaultLockOrderOptions)
-		for _, c := range res.Cycles {
+		for _, c := range pp.analysis().LockOrder.Cycles {
 			pp.Report(c.Diagnostic())
 		}
 		return nil
@@ -40,24 +46,39 @@ var DefaultLockOrderOptions LockOrderOptions
 // LockOrderOptions bound the closure.
 type LockOrderOptions struct {
 	MaxCallDepth int // call-graph closure depth (default 3)
-	MaxCycleLen  int // longest reported cycle (default 3)
-	MaxOccs      int // occurrences kept per edge (default 8)
 	// NoCtx disables the one-level allocation-site context on field
 	// identities (the -ctx=0 escape hatch): all instances of a struct
 	// type merge back into one abstract node.
 	NoCtx bool
 }
 
-func (o *LockOrderOptions) defaults() {
-	if o.MaxCallDepth <= 0 {
-		o.MaxCallDepth = 3
+const (
+	maxCycleLen = 3 // longest reported lock cycle
+	maxOccs     = 8 // occurrences kept per edge
+)
+
+// Result is the whole-program outcome of one instantiation: the
+// lockorder and chancycle analyzers and -emit all read it.
+type Result struct {
+	LockOrder LockOrderResult
+	ChanCycle ChanCycleResult
+}
+
+// Analyze summarizes and instantiates the whole program once and
+// enumerates both the lock-order cycles and the mixed channel/lock
+// cycles of the resulting graph.
+func Analyze(prog *Program, opts LockOrderOptions) *Result {
+	st := buildLoState(prog, opts)
+	return &Result{LockOrder: *st.collectCycles(), ChanCycle: *st.chanCycles()}
+}
+
+// analysis is Analyze with DefaultLockOrderOptions, computed once per
+// program and shared by the analyzers that report from it.
+func (p *Program) analysis() *Result {
+	if p.result == nil {
+		p.result = Analyze(p, DefaultLockOrderOptions)
 	}
-	if o.MaxCycleLen <= 0 {
-		o.MaxCycleLen = 3
-	}
-	if o.MaxOccs <= 0 {
-		o.MaxOccs = 8
-	}
+	return p.result
 }
 
 // EmitFrame is one runtime-style pseudo-frame of a statically derived
@@ -167,6 +188,14 @@ const (
 	loRecv
 	loWgWait
 	loWgDone
+	// Path structure, written by the walk and replayed by instantiate:
+	// a return, and a branch as fork, arms (each starting from the state
+	// at the fork; live marks one that falls through) and join.
+	loRet
+	loFork
+	loArm
+	loLive
+	loJoin
 )
 
 type loBind struct {
@@ -264,10 +293,10 @@ func runtimeQual(pkg *Package) string {
 	return pkg.PkgPath
 }
 
-// summarize walks one function body, emitting an ordered event list.
-// litCounter numbers the func literals of the enclosing top-level decl
-// so closure names line up with the runtime's funcN convention.
-func (s *summarizer) summarize(key, rtName string, ftype *ast.FuncType, body *ast.BlockStmt, litCounter *int) *funcSummary {
+// summarize walks one function body into its event list. litCounter
+// numbers the func literals of the enclosing top-level decl so closure
+// names line up with the runtime's funcN convention.
+func (s *summarizer) summarize(key, rtName string, ftype *ast.FuncType, body *ast.BlockStmt, litCounter *int) {
 	sum := &funcSummary{key: key, runtimeName: rtName, pkg: s.pkg}
 	if ftype.Params != nil {
 		for _, field := range ftype.Params.List {
@@ -277,182 +306,109 @@ func (s *summarizer) summarize(key, rtName string, ftype *ast.FuncType, body *as
 		}
 	}
 	s.summaries[key] = sum
-	w := &loWalker{s: s, sum: sum, res: newLockResolver(s.pkg, s.ctx), lits: litCounter,
-		fnAliases: map[types.Object]string{}, ifaceAliases: map[types.Object]*types.Func{},
-		litKeys: map[*ast.FuncLit]string{}}
-	w.stmt(body)
-	return sum
+	f := &loFunc{s: s, sum: sum, lits: litCounter, litKeys: map[*ast.FuncLit]string{}}
+	f.flow = newFlow(s.pkg, s.ctx, f)
+	f.walk(body)
 }
 
-type loWalker struct {
-	s            *summarizer
-	sum          *funcSummary
-	res          *lockResolver
-	lits         *int
-	fnAliases    map[types.Object]string
-	ifaceAliases map[types.Object]*types.Func
-	litKeys      map[*ast.FuncLit]string // memo: a literal is summarized once
-	selNB        int                     // >0 inside a select that has a default clause
+// loFunc is the summarizer's client of the walk: it writes operations,
+// returns and the branch structure into the function's event list, for
+// instantiate to replay per path.
+type loFunc struct {
+	*flow
+	s       *summarizer
+	sum     *funcSummary
+	lits    *int
+	litKeys map[*ast.FuncLit]string // memo: a literal is summarized once
 }
 
-func (w *loWalker) stmt(st ast.Stmt) {
-	switch x := st.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		for _, s := range x.List {
-			w.stmt(s)
-		}
-	case *ast.ExprStmt:
-		w.expr(x.X, false, false)
-	case *ast.AssignStmt:
-		for _, rhs := range x.Rhs {
-			w.expr(rhs, false, false)
-		}
-		if len(x.Lhs) == len(x.Rhs) {
-			for i, lhs := range x.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := w.s.pkg.Info.Defs[id]
-				if obj == nil {
-					obj = w.s.pkg.Info.Uses[id]
-				}
-				w.noteAssign(obj, x.Rhs[i])
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for _, v := range vs.Values {
-					w.expr(v, false, false)
-				}
-				if len(vs.Names) == len(vs.Values) {
-					for i, name := range vs.Names {
-						w.noteAssign(w.s.pkg.Info.Defs[name], vs.Values[i])
-					}
-				}
-			}
-		}
-	case *ast.GoStmt:
-		// Arguments evaluate in the spawning goroutine, at the statement.
-		for _, a := range x.Call.Args {
-			w.expr(a, false, false)
-		}
-		w.call(x.Call, true, false)
-	case *ast.DeferStmt:
-		for _, a := range x.Call.Args {
-			w.expr(a, false, false)
-		}
-		w.call(x.Call, false, true)
-	case *ast.ReturnStmt:
-		for _, r := range x.Results {
-			w.expr(r, false, false)
-		}
-	case *ast.IfStmt:
-		w.stmt(x.Init)
-		w.expr(x.Cond, false, false)
-		w.stmt(x.Body)
-		w.stmt(x.Else)
-	case *ast.ForStmt:
-		w.stmt(x.Init)
-		w.expr(x.Cond, false, false)
-		w.stmt(x.Body)
-		w.stmt(x.Post)
-	case *ast.RangeStmt:
-		w.expr(x.X, false, false)
-		if tv, ok := w.s.pkg.Info.Types[x.X]; ok && tv.Type != nil && isChanType(tv.Type) {
-			if ref, ok := w.res.resolve(x.X); ok {
-				w.sum.events = append(w.sum.events, loEvent{
-					kind: loRecv, lock: ref, pos: x.Pos(), nonBlock: w.selNB > 0})
-				if ref.key != nil {
-					if id, ok := x.Key.(*ast.Ident); ok {
-						if obj := w.s.pkg.Info.Defs[id]; obj != nil {
-							w.res.noteRecv(obj, ref.key.key)
-						}
-					}
-				}
-			}
-		}
-		w.stmt(x.Body)
-	case *ast.SwitchStmt:
-		w.stmt(x.Init)
-		w.expr(x.Tag, false, false)
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, s := range cc.Body {
-					w.stmt(s)
-				}
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		w.stmt(x.Init)
-		w.stmt(x.Assign)
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, s := range cc.Body {
-					w.stmt(s)
-				}
-			}
-		}
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		// The comm ops of a select with a default clause cannot block;
-		// case bodies run after some case fired and block normally.
-		if hasDefault {
-			w.selNB++
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmt(cc.Comm)
-			}
-		}
-		if hasDefault {
-			w.selNB--
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				for _, s := range cc.Body {
-					w.stmt(s)
-				}
-			}
-		}
-	case *ast.LabeledStmt:
-		w.stmt(x.Stmt)
-	case *ast.SendStmt:
-		w.expr(x.Chan, false, false)
-		w.expr(x.Value, false, false)
-		w.send(x)
-	case *ast.IncDecStmt:
-		w.expr(x.X, false, false)
+func (f *loFunc) emit(ev loEvent) { f.sum.events = append(f.sum.events, ev) }
+
+func (f *loFunc) lockCall(call *ast.CallExpr, method string, recv ast.Expr, mode int) {
+	if isCondType(f.pkg.Info.Types[recv].Type) {
+		// Cond.Wait releases and reacquires L; neutral for ordering.
+		return
 	}
-}
-
-// send records the blocking send event and harvests the payload table:
-// lock-typed values (directly or as composite-literal fields) sent on a
-// resolvable channel become recv-side bindable identities.
-func (w *loWalker) send(x *ast.SendStmt) {
-	ref, ok := w.res.resolve(x.Chan)
+	ref, ok := f.res.resolve(recv)
 	if !ok {
 		return
 	}
-	if ref.key != nil {
-		w.notePayload(ref.key.key, x.Value)
+	ev := loEvent{lock: ref, read: readMethods[method], pos: call.Pos(), isDefer: mode == callDefer}
+	switch {
+	case acquireBlocking[method]:
+		ev.kind = loAcq
+	case acquireTry[method]:
+		ev.kind, ev.try = loAcq, true
+	case releaseMethods[method]:
+		ev.kind = loRel
+	default:
+		return
 	}
-	w.sum.events = append(w.sum.events, loEvent{
-		kind: loSend, lock: ref, pos: x.Pos(), nonBlock: w.selNB > 0})
+	f.emit(ev)
 }
 
-func (w *loWalker) notePayload(chKey string, val ast.Expr) {
+// call records a WaitGroup synchronization or a call event: its callee
+// (static, through an interface, or a parameter bound by a caller) and
+// the lock and function arguments the callee's parameters bind to.
+func (f *loFunc) call(call *ast.CallExpr, mode int) {
+	pkg := f.pkg
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal && isWaitGroupType(s.Recv()) {
+			name := s.Obj().Name()
+			if name == "Wait" || name == "Done" {
+				if ref, resolved := f.res.resolve(sel.X); resolved {
+					kind := loWgWait
+					if name == "Done" {
+						kind = loWgDone
+					}
+					f.emit(loEvent{kind: kind, lock: ref, pos: call.Pos(), nonBlock: f.nonBlock, isDefer: mode == callDefer})
+				}
+			}
+			return
+		}
+	}
+	fn := f.callee(call.Fun)
+	ev := loEvent{kind: loCall, pos: call.Pos(), isGo: mode == callGo, isDefer: mode == callDefer,
+		calleeKey: f.fnKey(fn), ifaceMethod: fn.iface, calleeSym: fn.param}
+	if ev.calleeKey == "" && ev.ifaceMethod == nil && ev.calleeSym == nil {
+		return // builtin, conversion, or a function value we cannot name
+	}
+	for i, arg := range call.Args {
+		if key := f.fnKey(f.callee(arg)); key != "" {
+			ev.binds = append(ev.binds, loBind{idx: i, fnKey: key})
+		} else if ref, ok := f.res.resolve(arg); ok {
+			ev.binds = append(ev.binds, loBind{idx: i, lock: ref})
+		}
+	}
+	f.emit(ev)
+}
+
+// fnKey is the summary key of a literal or static function, "" otherwise.
+func (f *loFunc) fnKey(v fnVal) string {
+	switch {
+	case v.lit != nil:
+		return f.litKey(v.lit)
+	case v.fn != nil:
+		return funcKeyOf(v.fn)
+	}
+	return ""
+}
+
+// chanOp records a channel operation; a send also harvests the payload
+// table: lock-typed values (directly or as composite-literal fields)
+// sent on a resolvable channel become recv-side bindable identities.
+func (f *loFunc) chanOp(kind int, ch, val ast.Expr, pos token.Pos, nonBlock bool) {
+	ref, ok := f.res.resolve(ch)
+	if !ok {
+		return
+	}
+	if val != nil && ref.key != nil {
+		f.notePayload(ref.key.key, val)
+	}
+	f.emit(loEvent{kind: kind, lock: ref, pos: pos, nonBlock: nonBlock})
+}
+
+func (f *loFunc) notePayload(chKey string, val ast.Expr) {
 	val = ast.Unparen(val)
 	if un, ok := val.(*ast.UnaryExpr); ok && un.Op == token.AND {
 		val = ast.Unparen(un.X)
@@ -467,217 +423,66 @@ func (w *loWalker) notePayload(chKey string, val ast.Expr) {
 			if !ok {
 				continue
 			}
-			if _, isLock := isLockType(w.s.pkg.Info.Types[kv.Value].Type); !isLock {
+			if _, isLock := isLockType(f.pkg.Info.Types[kv.Value].Type); !isLock {
 				continue
 			}
-			if ref, ok := w.res.resolve(kv.Value); ok && ref.key != nil {
-				w.addPayload(payloadRef{chanKey: chKey, field: field.Name}, *ref.key)
+			if ref, ok := f.res.resolve(kv.Value); ok && ref.key != nil {
+				f.addPayload(payloadRef{chanKey: chKey, field: field.Name}, *ref.key)
 			}
 		}
 		return
 	}
-	if _, isLock := isLockType(w.s.pkg.Info.Types[val].Type); !isLock {
+	if _, isLock := isLockType(f.pkg.Info.Types[val].Type); !isLock {
 		return
 	}
-	if ref, ok := w.res.resolve(val); ok && ref.key != nil {
-		w.addPayload(payloadRef{chanKey: chKey}, *ref.key)
+	if ref, ok := f.res.resolve(val); ok && ref.key != nil {
+		f.addPayload(payloadRef{chanKey: chKey}, *ref.key)
 	}
 }
 
-func (w *loWalker) addPayload(pr payloadRef, k lockKey) {
-	for _, e := range w.s.payloads[pr] {
+func (f *loFunc) addPayload(pr payloadRef, k lockKey) {
+	for _, e := range f.s.payloads[pr] {
 		if e.key == k.key {
 			return
 		}
 	}
-	w.s.payloads[pr] = append(w.s.payloads[pr], k)
+	f.s.payloads[pr] = append(f.s.payloads[pr], k)
 }
 
-func (w *loWalker) noteAssign(obj types.Object, rhs ast.Expr) {
-	if obj == nil {
-		return
-	}
-	rhs = ast.Unparen(rhs)
-	if lit, ok := rhs.(*ast.FuncLit); ok {
-		w.fnAliases[obj] = w.litKey(lit)
-		return
-	}
-	if id, ok := rhs.(*ast.Ident); ok {
-		if fn, ok := w.s.pkg.Info.Uses[id].(*types.Func); ok {
-			w.fnAliases[obj] = funcKeyOf(fn)
-			return
-		}
-	}
-	// Method values: `f := s.Flush` binds the concrete method,
-	// `f := store.Get` through an interface defers to CHA dispatch.
-	if sel, ok := rhs.(*ast.SelectorExpr); ok {
-		if s, ok := w.s.pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			m := s.Obj().(*types.Func)
-			if _, isIface := types.Unalias(s.Recv()).Underlying().(*types.Interface); isIface {
-				w.ifaceAliases[obj] = m
-			} else {
-				w.fnAliases[obj] = funcKeyOf(m)
-			}
-			return
-		}
-	}
-	w.res.note(obj, rhs)
-}
+func (f *loFunc) funcLit(lit *ast.FuncLit) { f.litKey(lit) }
 
 // litKey summarizes a func literal (once) and returns its key.
-func (w *loWalker) litKey(lit *ast.FuncLit) string {
-	if key, ok := w.litKeys[lit]; ok {
+func (f *loFunc) litKey(lit *ast.FuncLit) string {
+	if key, ok := f.litKeys[lit]; ok {
 		return key
 	}
-	*w.lits++
-	key := fmt.Sprintf("%s.func%d", w.sum.key, *w.lits)
-	rtName := fmt.Sprintf("%s.func%d", w.sum.runtimeName, *w.lits)
-	w.litKeys[lit] = key
-	w.s.summarize(key, rtName, lit.Type, lit.Body, w.lits)
+	*f.lits++
+	key := fmt.Sprintf("%s.func%d", f.sum.key, *f.lits)
+	rtName := fmt.Sprintf("%s.func%d", f.sum.runtimeName, *f.lits)
+	f.litKeys[lit] = key
+	f.s.summarize(key, rtName, lit.Type, lit.Body, f.lits)
 	return key
 }
 
-// expr walks an expression, recording lock operations and calls in
-// evaluation order. Func literals are summarized separately, never
-// inlined into the current event stream.
-func (w *loWalker) expr(e ast.Expr, isGo, isDefer bool) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			w.litKey(x)
-			return false
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				w.expr(x.X, false, false)
-				if ref, ok := w.res.resolve(x.X); ok {
-					w.sum.events = append(w.sum.events, loEvent{
-						kind: loRecv, lock: ref, pos: x.Pos(), nonBlock: w.selNB > 0})
-				}
-				return false
-			}
-		case *ast.CallExpr:
-			// Walk arguments first (evaluation order), then classify the
-			// call itself; Inspect would also descend into Fun/Args, so cut
-			// it off and recurse manually.
-			for _, a := range x.Args {
-				w.expr(a, false, false)
-			}
-			if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-				w.expr(sel.X, false, false)
-			}
-			w.call(x, isGo, isDefer)
-			return false
+func (f *loFunc) ret(pos token.Pos) { f.emit(loEvent{kind: loRet, pos: pos}) }
+func (f *loFunc) fork()             { f.emit(loEvent{kind: loFork}) }
+func (f *loFunc) join()             { f.emit(loEvent{kind: loJoin}) }
+
+// arm starts an arm; where a tested acquire failed, the arm begins by
+// dropping the lock the acquire event took.
+func (f *loFunc) arm(fail *lockOutcome) {
+	f.emit(loEvent{kind: loArm})
+	if fail != nil && (acquireBlocking[fail.method] || acquireTry[fail.method]) {
+		if ref, ok := f.res.resolve(fail.recv); ok && !isCondType(f.pkg.Info.Types[fail.recv].Type) {
+			f.emit(loEvent{kind: loRel, lock: ref, read: readMethods[fail.method], pos: fail.recv.Pos()})
 		}
-		return true
-	})
+	}
 }
 
-// call classifies one call expression: lock operation, WaitGroup
-// synchronization, or call event.
-func (w *loWalker) call(call *ast.CallExpr, isGo, isDefer bool) {
-	pkg := w.s.pkg
-	if method, recv, ok := classifyLockCall(pkg, call); ok {
-		if isCondType(pkg.Info.Types[recv].Type) {
-			// Cond.Wait releases and reacquires L; neutral for ordering.
-			return
-		}
-		ref, resolved := w.res.resolve(recv)
-		if !resolved {
-			return
-		}
-		switch {
-		case acquireBlocking[method]:
-			w.sum.events = append(w.sum.events, loEvent{
-				kind: loAcq, lock: ref, read: readMethods[method], pos: call.Pos(), isDefer: isDefer})
-		case acquireTry[method]:
-			w.sum.events = append(w.sum.events, loEvent{
-				kind: loAcq, lock: ref, read: readMethods[method], try: true, pos: call.Pos(), isDefer: isDefer})
-		case releaseMethods[method]:
-			w.sum.events = append(w.sum.events, loEvent{
-				kind: loRel, lock: ref, read: readMethods[method], pos: call.Pos(), isDefer: isDefer})
-		}
-		return
+func (f *loFunc) endArm(live bool) {
+	if live {
+		f.emit(loEvent{kind: loLive})
 	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal && isWaitGroupType(s.Recv()) {
-			name := s.Obj().Name()
-			if name == "Wait" || name == "Done" {
-				if ref, resolved := w.res.resolve(sel.X); resolved {
-					kind := loWgWait
-					if name == "Done" {
-						kind = loWgDone
-					}
-					w.sum.events = append(w.sum.events, loEvent{
-						kind: kind, lock: ref, pos: call.Pos(), nonBlock: w.selNB > 0, isDefer: isDefer})
-				}
-			}
-			return
-		}
-	}
-
-	ev := loEvent{kind: loCall, pos: call.Pos(), isGo: isGo, isDefer: isDefer}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		switch obj := pkg.Info.Uses[fun].(type) {
-		case *types.Func:
-			ev.calleeKey = funcKeyOf(obj)
-		case *types.Var:
-			if key, ok := w.fnAliases[obj]; ok {
-				ev.calleeKey = key
-			} else if m, ok := w.ifaceAliases[obj]; ok {
-				ev.ifaceMethod = m
-			} else {
-				ev.calleeSym = obj
-			}
-		default:
-			return // builtin, conversion
-		}
-	case *ast.SelectorExpr:
-		if s, ok := pkg.Info.Selections[fun]; ok && s.Kind() == types.MethodVal {
-			m := s.Obj().(*types.Func)
-			if _, isIface := types.Unalias(s.Recv()).Underlying().(*types.Interface); isIface {
-				// Dynamic dispatch: expanded through the class-hierarchy
-				// index when the program is instantiated.
-				ev.ifaceMethod = m
-			} else {
-				ev.calleeKey = funcKeyOf(m)
-			}
-		} else if fn, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			ev.calleeKey = funcKeyOf(fn)
-		} else {
-			return
-		}
-	case *ast.FuncLit:
-		ev.calleeKey = w.litKey(fun)
-	default:
-		return
-	}
-	for i, arg := range call.Args {
-		arg = ast.Unparen(arg)
-		if lit, ok := arg.(*ast.FuncLit); ok {
-			ev.binds = append(ev.binds, loBind{idx: i, fnKey: w.litKey(lit)})
-			continue
-		}
-		if id, ok := arg.(*ast.Ident); ok {
-			switch obj := pkg.Info.Uses[id].(type) {
-			case *types.Func:
-				ev.binds = append(ev.binds, loBind{idx: i, fnKey: funcKeyOf(obj)})
-				continue
-			case *types.Var:
-				if key, ok := w.fnAliases[obj]; ok {
-					ev.binds = append(ev.binds, loBind{idx: i, fnKey: key})
-					continue
-				}
-			}
-		}
-		if ref, ok := w.res.resolve(arg); ok {
-			ev.binds = append(ev.binds, loBind{idx: i, lock: ref})
-		}
-	}
-	w.sum.events = append(w.sum.events, ev)
 }
 
 // --- instantiation: bounded call-graph closure -----------------------
@@ -741,7 +546,7 @@ const maxPayloadFanout = 4
 const maxChanOps = 4096
 
 type loState struct {
-	opts      LockOrderOptions
+	maxDepth  int // call-graph closure depth
 	fset      *token.FileSet
 	summaries map[string]*funcSummary
 	cha       *chaIndex
@@ -775,12 +580,13 @@ type chanOp struct {
 	nonBlock bool
 }
 
-// buildLoState summarizes and instantiates the whole program once;
-// AnalyzeLockOrder and AnalyzeChanCycle share the result.
+// buildLoState summarizes and instantiates the whole program.
 func buildLoState(prog *Program, opts LockOrderOptions) *loState {
-	opts.defaults()
+	if opts.MaxCallDepth <= 0 {
+		opts.MaxCallDepth = 3
+	}
 	st := &loState{
-		opts:      opts,
+		maxDepth:  opts.MaxCallDepth,
 		fset:      prog.Fset,
 		summaries: map[string]*funcSummary{},
 		cha:       newCHAIndex(prog),
@@ -813,30 +619,83 @@ func buildLoState(prog *Program, opts LockOrderOptions) *loState {
 	return st
 }
 
-// AnalyzeLockOrder runs the whole-program analysis and returns the
-// confirmed cycles with their call chains — the cmd/dimmunix-vet -emit
-// path consumes the same result the analyzer reports from.
-func AnalyzeLockOrder(prog *Program, opts LockOrderOptions) *LockOrderResult {
-	st := buildLoState(prog, opts)
-	return st.collectCycles(st.seqOnly)
+// heldJoin accumulates the may-hold join of the paths meeting at one
+// point — the arms of a branch that fall through, or a function's
+// returns: every lock some path holds, as many times as the path holding
+// it most often does.
+type heldJoin struct {
+	held []heldLock
+	any  bool
 }
 
+func (j *heldJoin) add(held []heldLock) {
+	if !j.any {
+		j.held, j.any = append([]heldLock(nil), held...), true
+		return
+	}
+	count := func(hs []heldLock, h heldLock) int {
+		n := 0
+		for _, x := range hs {
+			if x.key.key == h.key.key && x.read == h.read {
+				n++
+			}
+		}
+		return n
+	}
+	for i, h := range held {
+		if count(j.held, h) < count(held[:i+1], h) {
+			j.held = append(j.held, h)
+		}
+	}
+}
+
+// instantiate replays a summary path by path: each arm of a branch
+// starts from the held set at the branch, and the code after it
+// continues with the may-hold join of the arms that fall through; the
+// caller continues with the join of every return. The acquisition log
+// (before) is the whole flow's: every acquisition replayed so far.
 func (st *loState) instantiate(sum *funcSummary, env map[types.Object]envVal, held, before *[]heldLock, stack siteChain, root string, depth int, path map[string]bool) {
-	var deferred []func()
+	type branch struct {
+		at  []heldLock // held at the fork
+		out heldJoin
+	}
+	var branches []branch
+	var exits heldJoin
+	var deferred []*loEvent
 	for i := range sum.events {
 		ev := &sum.events[i]
-		run := func(ev *loEvent) { st.event(sum, ev, env, held, before, stack, root, depth, path) }
-		if ev.isDefer {
-			ev := ev
-			deferred = append(deferred, func() { run(ev) })
-			continue
+		switch {
+		case ev.kind == loFork:
+			branches = append(branches, branch{at: append([]heldLock(nil), *held...)})
+		case ev.kind == loArm:
+			*held = append([]heldLock(nil), branches[len(branches)-1].at...)
+		case ev.kind == loLive:
+			branches[len(branches)-1].out.add(*held)
+		case ev.kind == loJoin:
+			b := branches[len(branches)-1]
+			branches = branches[:len(branches)-1]
+			// When no arm falls through, the code after is reached only by
+			// a jump, and the state at the fork stands in.
+			*held = b.at
+			if b.out.any {
+				*held = b.out.held
+			}
+		case ev.kind == loRet:
+			exits.add(*held)
+		case ev.isDefer:
+			deferred = append(deferred, ev)
+		default:
+			st.event(sum, ev, env, held, before, stack, root, depth, path)
 		}
-		run(ev)
 	}
-	// Deferred events run at function exit, in LIFO order: unlocks
-	// release what the body still holds, deferred calls see that state.
+	if exits.any {
+		*held = exits.held
+	}
+	// Deferred events run at function exit, in LIFO order, whichever arm
+	// registered them: unlocks release what the body still holds,
+	// deferred calls see that state.
 	for i := len(deferred) - 1; i >= 0; i-- {
-		deferred[i]()
+		st.event(sum, deferred[i], env, held, before, stack, root, depth, path)
 	}
 }
 
@@ -919,7 +778,7 @@ func (st *loState) event(sum *funcSummary, ev *loEvent, env map[types.Object]env
 			}
 			st.hasCaller[calleeKey] = true
 			callee := st.summaries[calleeKey]
-			if callee == nil || depth >= st.opts.MaxCallDepth || path[calleeKey] {
+			if callee == nil || depth >= st.maxDepth || path[calleeKey] {
 				continue
 			}
 			env2 := make(map[types.Object]envVal, len(env)+len(ev.binds))
@@ -1030,7 +889,7 @@ func (st *loState) addEdge(h heldLock, to lockKey, read bool, acqSite siteChain,
 		e = &loEdge{from: h.key, to: to}
 		st.edges[id] = e
 	}
-	if len(e.occs) >= st.opts.MaxOccs {
+	if len(e.occs) >= maxOccs {
 		return
 	}
 	e.occs = append(e.occs, occurrence{
@@ -1117,7 +976,7 @@ func describeRoot(root string) string {
 
 const maxAltRoots = 3
 
-func (st *loState) collectCycles(seqOnly map[string]bool) *LockOrderResult {
+func (st *loState) collectCycles() *LockOrderResult {
 	res := &LockOrderResult{}
 	adj := map[string][]string{}
 	nodes := map[string]bool{}
@@ -1141,7 +1000,7 @@ func (st *loState) collectCycles(seqOnly map[string]bool) *LockOrderResult {
 		for i := range cycle {
 			edges[i] = st.edges[[2]string{cycle[i], cycle[(i+1)%len(cycle)]}]
 		}
-		c, why := st.confirm(cycle, edges, seqOnly)
+		c, why := st.confirm(cycle, edges, st.seqOnly)
 		if c == nil {
 			switch why {
 			case "seq":
@@ -1175,7 +1034,7 @@ func (st *loState) collectCycles(seqOnly map[string]bool) *LockOrderResult {
 		res.Cycles = append(res.Cycles, *c)
 	}
 
-	// Elementary cycles up to MaxCycleLen, started (and thus deduplicated)
+	// Elementary cycles up to maxCycleLen, started (and thus deduplicated)
 	// at their smallest node. Self-loops are handled separately below.
 	for _, start := range ordered {
 		var dfs func(cur string, path []string)
@@ -1185,7 +1044,7 @@ func (st *loState) collectCycles(seqOnly map[string]bool) *LockOrderResult {
 					emit(append([]string{}, path...))
 					continue
 				}
-				if next <= start || len(path) >= st.opts.MaxCycleLen {
+				if next <= start || len(path) >= maxCycleLen {
 					continue
 				}
 				onPath := false

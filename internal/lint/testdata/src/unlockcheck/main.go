@@ -53,8 +53,34 @@ func acquire() *sync.Mutex {
 
 func main() {
 	leaky()
+	switchLeak(1)
+	selectLeak(nil)
 	double()
 	tries()
 	deferred()
 	acquire().Unlock()
+}
+
+// switchLeak is leaky written as a switch: the releasing clause returns,
+// so only the path that skipped it reaches the last return, still holding.
+func switchLeak(k int) bool {
+	mu.Lock()
+	switch k {
+	case 1:
+		mu.Unlock()
+		return true
+	}
+	return false // want `returns while still holding main.mu \(acquired at line \d+; other paths unlock it\)`
+}
+
+// selectLeak is the same leak written as a select.
+func selectLeak(ch chan int) bool {
+	mu.Lock()
+	select {
+	case <-ch:
+		mu.Unlock()
+		return true
+	default:
+	}
+	return false // want `returns while still holding main.mu \(acquired at line \d+; other paths unlock it\)`
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // UnlockCheck reports unbalanced lock usage inside one function:
@@ -85,23 +84,25 @@ func (s *ulState) merge(o *ulState) {
 	}
 }
 
+// ulFunc is unlockcheck's client of the walk: one must-hold state per
+// path, cloned at each arm and merged where arms fall through.
 type ulFunc struct {
-	pass *Pass
-	res  *lockResolver
+	*flow
+	pass   *Pass
+	st     *ulState
+	frames []ulFrame
 	// lockPos is the first acquisition site per key; unlocks counts
 	// releases anywhere in the function (the inconsistency signal).
 	lockPos map[string]token.Pos
 	unlocks map[string]int
 	returns []ulReturn
 	descs   map[string]string
-	// errFrom maps an error/bool variable to the lock whose guarded
-	// acquire produced it: `if err := mu.LockT(t); err != nil { return }`
-	// does NOT hold mu on the return path.
-	errFrom map[types.Object]string
-	// fnLits maps a local variable to the func literal assigned to it,
-	// so `release := func() { mu.Unlock() }; defer release()` counts as
-	// a releasing path like a direct deferred closure.
-	fnLits map[types.Object]*ast.FuncLit
+}
+
+// ulFrame is one open branch: the state before it, and the merge of
+// the arms that fall through (nil while none has).
+type ulFrame struct {
+	pre, merged *ulState
 }
 
 type ulReturn struct {
@@ -115,10 +116,6 @@ type ulReturn struct {
 // wait's mutex state is contract-dependent (recovery unwinds without
 // the lock), so such returns are neither leaks nor leak evidence.
 const waitFailKey = "*"
-
-// relPrefix tags errFrom entries that observe a release's outcome
-// rather than an acquire's.
-const relPrefix = "rel|"
 
 func runUnlockCheck(pass *Pass) error {
 	for _, f := range pass.Pkg.Files {
@@ -141,19 +138,13 @@ func runUnlockCheck(pass *Pass) error {
 func checkUnlockFunc(pass *Pass, body *ast.BlockStmt) {
 	uf := &ulFunc{
 		pass:    pass,
-		res:     newLockResolver(pass.Pkg, false),
+		st:      newUlState(),
 		lockPos: map[string]token.Pos{},
 		unlocks: map[string]int{},
 		descs:   map[string]string{},
-		errFrom: map[types.Object]string{},
-		fnLits:  map[types.Object]*ast.FuncLit{},
 	}
-	st := newUlState()
-	uf.stmt(body, st)
-	if !terminates(body) {
-		// Implicit return at the closing brace.
-		uf.ret(body.Rbrace, st)
-	}
+	uf.flow = newFlow(pass.Pkg, false, uf)
+	uf.walk(body)
 	// A held return is a leak only against evidence of a path that does
 	// release: some other return that definitely released the lock and
 	// is not an acquire-failure branch. A function whose every
@@ -188,16 +179,8 @@ func checkUnlockFunc(pass *Pass, body *ast.BlockStmt) {
 // unlike lockorder's graph nodes, x.mu and y.mu are different things.
 func (uf *ulFunc) lockID(recv ast.Expr) (string, bool) {
 	ref, ok := uf.res.resolve(recv)
-	if !ok {
-		// Fall back to the receiver's textual form: balance checking only
-		// needs consistency within the function.
-		s := exprString(recv)
-		if s == "?" {
-			return "", false
-		}
-		return "expr:" + s, true
-	}
-	if ref.key != nil {
+	switch {
+	case ok && ref.key != nil:
 		id := ref.key.key
 		if ref.key.inst != "" {
 			id += "|" + ref.key.inst
@@ -209,439 +192,29 @@ func (uf *ulFunc) lockID(recv ast.Expr) (string, bool) {
 		}
 		uf.descs[id] = ref.key.desc
 		return id, true
-	}
-	if ref.obj != nil {
+	case ok && ref.obj != nil:
 		id := "sym:" + ref.obj.Name()
 		uf.descs[id] = ref.obj.Name()
 		return id, true
 	}
-	// Channel-payload reference: balance-track by receiver text.
-	if s := exprString(recv); s != "?" {
-		return "expr:" + s, true
-	}
-	return "", false
-}
-
-func (uf *ulFunc) stmt(s ast.Stmt, st *ulState) {
-	switch x := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		for _, s := range x.List {
-			uf.stmt(s, st)
-		}
-	case *ast.ExprStmt:
-		uf.expr(x.X, st, true)
-	case *ast.AssignStmt:
-		for _, r := range x.Rhs {
-			uf.expr(r, st, false)
-		}
-		for i, lhs := range x.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok && len(x.Lhs) == len(x.Rhs) {
-				obj := uf.pass.Pkg.Info.Defs[id]
-				if obj == nil {
-					obj = uf.pass.Pkg.Info.Uses[id]
-				}
-				if obj != nil {
-					delete(uf.errFrom, obj)
-					if lit, ok := ast.Unparen(x.Rhs[i]).(*ast.FuncLit); ok {
-						uf.fnLits[obj] = lit
-					} else {
-						delete(uf.fnLits, obj)
-						uf.res.note(obj, x.Rhs[i])
-					}
-				}
-			}
-		}
-		uf.noteGuardedAcquire(x)
-	case *ast.DeferStmt:
-		uf.deferCall(x.Call, st)
-	case *ast.GoStmt:
-		// The spawned body runs elsewhere; only argument evaluation
-		// happens here.
-		for _, a := range x.Call.Args {
-			uf.expr(a, st, false)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range x.Results {
-			uf.expr(r, st, false)
-		}
-		uf.ret(x.Pos(), st)
-	case *ast.IfStmt:
-		uf.stmt(x.Init, st)
-		uf.expr(x.Cond, st, false)
-		body := st.clone()
-		els := st.clone()
-		// A condition that observes an acquire's (or release's) outcome
-		// splits the states: the failure branch does not hold (resp.
-		// did not release) the lock.
-		if key, failInBody, ok := uf.condFailure(x.Cond); ok {
-			fail := els
-			if failInBody {
-				fail = body
-			}
-			if rel, isRel := strings.CutPrefix(key, relPrefix); isRel {
-				delete(fail.released, rel)
-			} else {
-				if fail.held[key] > 0 {
-					fail.held[key]--
-				}
-				fail.failed[key] = true
-			}
-		}
-		uf.stmt(x.Body, body)
-		uf.stmt(x.Else, els)
-		if terminates(x.Body) {
-			// Fall-through continues only via else.
-			*st = *els
-			return
-		}
-		if x.Else != nil && terminates(x.Else) {
-			*st = *body
-			return
-		}
-		body.merge(els)
-		*st = *body
-	case *ast.ForStmt:
-		uf.stmt(x.Init, st)
-		uf.expr(x.Cond, st, false)
-		b := st.clone()
-		uf.stmt(x.Body, b)
-		uf.stmt(x.Post, b)
-		st.merge(b)
-	case *ast.RangeStmt:
-		uf.expr(x.X, st, false)
-		b := st.clone()
-		uf.stmt(x.Body, b)
-		st.merge(b)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		uf.branches(s, st)
-	case *ast.LabeledStmt:
-		uf.stmt(x.Stmt, st)
-	case *ast.SendStmt:
-		uf.expr(x.Chan, st, false)
-		uf.expr(x.Value, st, false)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						uf.expr(v, st, false)
-					}
-					if len(vs.Names) == len(vs.Values) {
-						for i, name := range vs.Names {
-							if obj := uf.pass.Pkg.Info.Defs[name]; obj != nil {
-								if lit, ok := ast.Unparen(vs.Values[i]).(*ast.FuncLit); ok {
-									uf.fnLits[obj] = lit
-								} else {
-									uf.res.note(obj, vs.Values[i])
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func (uf *ulFunc) branches(s ast.Stmt, st *ulState) {
-	var bodies [][]ast.Stmt
-	var init ast.Stmt
-	hasDefault := false
-	switch x := s.(type) {
-	case *ast.SwitchStmt:
-		init = x.Init
-		uf.expr(x.Tag, st, false)
-		for _, c := range x.Body.List {
-			cc := c.(*ast.CaseClause)
-			bodies = append(bodies, cc.Body)
-			hasDefault = hasDefault || cc.List == nil
-		}
-	case *ast.TypeSwitchStmt:
-		init = x.Init
-		for _, c := range x.Body.List {
-			cc := c.(*ast.CaseClause)
-			bodies = append(bodies, cc.Body)
-			hasDefault = hasDefault || cc.List == nil
-		}
-	case *ast.SelectStmt:
-		for _, c := range x.Body.List {
-			cc := c.(*ast.CommClause)
-			bodies = append(bodies, append([]ast.Stmt{cc.Comm}, cc.Body...))
-			hasDefault = hasDefault || cc.Comm == nil
-		}
-		hasDefault = true // select blocks; some case always runs
-	}
-	uf.stmt(init, st)
-	var merged *ulState
-	for _, b := range bodies {
-		cs := st.clone()
-		for _, s := range b {
-			uf.stmt(s, cs)
-		}
-		if merged == nil {
-			merged = cs
-		} else {
-			merged.merge(cs)
-		}
-	}
-	if merged != nil {
-		if !hasDefault {
-			merged.merge(st)
-		}
-		*st = *merged
-	}
-}
-
-// terminates reports whether a block definitely transfers control away
-// (return or panic as its last statement) — used to keep the early
-// return pattern `if err != nil { return }` from polluting the merge.
-func terminates(s ast.Stmt) bool {
-	switch x := s.(type) {
-	case *ast.BlockStmt:
-		if len(x.List) == 0 {
-			return false
-		}
-		return terminates(x.List[len(x.List)-1])
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ForStmt:
-		// `for { ... }` with no way to break never falls through; its
-		// returns are the only exits.
-		return x.Cond == nil && !hasLoopBreak(x.Body)
-	case *ast.ExprStmt:
-		if call, ok := x.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// hasLoopBreak reports whether body can break out of the loop enclosing
-// it: an unlabeled break at loop level, or (conservatively) any labeled
-// break or goto anywhere inside.
-func hasLoopBreak(body ast.Stmt) bool {
-	found := false
-	var walk func(s ast.Stmt, inner bool)
-	walk = func(s ast.Stmt, inner bool) {
-		if found || s == nil {
-			return
-		}
-		switch x := s.(type) {
-		case *ast.BranchStmt:
-			switch x.Tok {
-			case token.BREAK:
-				if !inner || x.Label != nil {
-					found = true
-				}
-			case token.GOTO:
-				found = true
-			}
-		case *ast.BlockStmt:
-			for _, s := range x.List {
-				walk(s, inner)
-			}
-		case *ast.IfStmt:
-			walk(x.Init, inner)
-			walk(x.Body, inner)
-			walk(x.Else, inner)
-		case *ast.LabeledStmt:
-			walk(x.Stmt, inner)
-		case *ast.ForStmt:
-			walk(x.Body, true)
-		case *ast.RangeStmt:
-			walk(x.Body, true)
-		case *ast.SwitchStmt:
-			walk(x.Body, true)
-		case *ast.TypeSwitchStmt:
-			walk(x.Body, true)
-		case *ast.SelectStmt:
-			walk(x.Body, true)
-		case *ast.CaseClause:
-			for _, s := range x.Body {
-				walk(s, inner)
-			}
-		case *ast.CommClause:
-			for _, s := range x.Body {
-				walk(s, inner)
-			}
-		}
-	}
-	walk(body, false)
-	return found
-}
-
-func (uf *ulFunc) ret(pos token.Pos, st *ulState) {
-	held := map[string]token.Pos{}
-	for key, n := range st.held {
-		if n-st.deferred[key] > 0 {
-			held[key] = uf.lockPos[key]
-		}
-	}
-	failed := map[string]bool{}
-	for k := range st.failed {
-		failed[k] = true
-	}
-	released := map[string]bool{}
-	for k, v := range st.released {
-		if v {
-			released[k] = true
-		}
-	}
-	uf.returns = append(uf.returns, ulReturn{pos: pos, held: held, failed: failed, released: released})
-}
-
-// noteGuardedAcquire records `err := mu.LockT(t)` / `ok := mu.TryLock()`
-// bindings so a subsequent condition on the variable splits the states.
-func (uf *ulFunc) noteGuardedAcquire(x *ast.AssignStmt) {
-	if len(x.Lhs) == 0 || len(x.Rhs) != 1 {
-		return
-	}
-	call, ok := ast.Unparen(x.Rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	method, recv, ok := classifyLockCall(uf.pass.Pkg, call)
-	if !ok {
-		return
-	}
-	var key string
-	switch {
-	case acquireBlocking[method], acquireTry[method]:
-		if key, ok = uf.lockID(recv); !ok {
-			return
-		}
-	case releaseMethods[method]:
-		// `err := mu.UnlockT(t)`: a failed release did not release.
-		if key, ok = uf.lockID(recv); !ok {
-			return
-		}
-		key = relPrefix + key
-	case condWaitMethods[method]:
-		// A failed wait leaves its mutex in a contract-dependent state.
-		key = waitFailKey
-	default:
-		return
-	}
-	// The outcome (error or bool) is the last result.
-	id, ok := x.Lhs[len(x.Lhs)-1].(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	obj := uf.pass.Pkg.Info.Defs[id]
-	if obj == nil {
-		obj = uf.pass.Pkg.Info.Uses[id]
-	}
-	if obj != nil {
-		uf.errFrom[obj] = key
-	}
-}
-
-// condFailure recognizes conditions that observe an acquire outcome,
-// returning the lock key and which branch is the failure branch (true =
-// the if-body). Shapes: `err != nil`, `err == nil`, `ok`, `!ok`,
-// `mu.TryLock()`, `!mu.TryLock()`.
-func (uf *ulFunc) condFailure(cond ast.Expr) (key string, failInBody, ok bool) {
-	cond = ast.Unparen(cond)
-	switch x := cond.(type) {
-	case *ast.UnaryExpr:
-		if x.Op == token.NOT {
-			if key, failInBody, ok = uf.condFailure(x.X); ok {
-				return key, !failInBody, true
-			}
-		}
-	case *ast.BinaryExpr:
-		if x.Op != token.NEQ && x.Op != token.EQL {
-			return "", false, false
-		}
-		v, nilSide := x.X, x.Y
-		if isNilIdent(v) {
-			v, nilSide = x.Y, x.X
-		}
-		if !isNilIdent(nilSide) {
-			return "", false, false
-		}
-		if k, found := uf.errObj(v); found {
-			// err != nil: body is the failure branch.
-			return k, x.Op == token.NEQ, true
-		}
-	case *ast.Ident:
-		if k, found := uf.errObj(x); found {
-			// A bare bool from a try-acquire: true means acquired.
-			return k, false, true
-		}
-	case *ast.CallExpr:
-		if method, recv, isLock := classifyLockCall(uf.pass.Pkg, x); isLock && acquireTry[method] {
-			if k, resolved := uf.lockID(recv); resolved {
-				return k, false, true
-			}
-		}
-	}
-	return "", false, false
-}
-
-func (uf *ulFunc) errObj(e ast.Expr) (string, bool) {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
+	// Unresolved or channel-payload receiver: balance checking only needs
+	// consistency within the function, so the receiver's text will do.
+	s := exprString(recv)
+	if s == "?" {
 		return "", false
 	}
-	obj := uf.pass.Pkg.Info.Uses[id]
-	if obj == nil {
-		obj = uf.pass.Pkg.Info.Defs[id]
-	}
-	if obj == nil {
-		return "", false
-	}
-	k, found := uf.errFrom[obj]
-	return k, found
+	uf.descs["expr:"+s] = s
+	return "expr:" + s, true
 }
 
-func isNilIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-// expr scans an expression for lock calls. Statement-level calls
-// (bare=true) with discarded error/bool results are flagged.
-func (uf *ulFunc) expr(e ast.Expr, st *ulState, bare bool) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			checkUnlockFunc(uf.pass, x.Body)
-			return false
-		case *ast.CallExpr:
-			uf.lockCall(x, st, bare && n == e)
-			// Children (nested calls in args) still need scanning.
-			for _, a := range x.Args {
-				uf.expr(a, st, false)
-			}
-			if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-				uf.expr(sel.X, st, false)
-			}
-			return false
-		}
-		return true
-	})
-}
-
-func (uf *ulFunc) lockCall(call *ast.CallExpr, st *ulState, bare bool) {
-	method, recv, ok := classifyLockCall(uf.pass.Pkg, call)
-	if !ok {
-		return
-	}
-	if bare {
+func (uf *ulFunc) lockCall(call *ast.CallExpr, method string, recv ast.Expr, mode int) {
+	if mode == callBare {
 		if sig, ok := uf.pass.Pkg.Info.Types[call.Fun].Type.(*types.Signature); ok && sig.Results().Len() > 0 {
 			kind := "error"
 			if acquireTry[method] {
 				kind = "result"
 			}
-			pass := uf.pass
-			pass.Reportf(call.Pos(), "%s of %s.%s ignored: the lock state is unknown on failure",
+			uf.pass.Reportf(call.Pos(), "%s of %s.%s ignored: the lock state is unknown on failure",
 				kind, exprString(recv), method)
 		}
 	}
@@ -650,67 +223,118 @@ func (uf *ulFunc) lockCall(call *ast.CallExpr, st *ulState, bare bool) {
 		return
 	}
 	switch {
+	case mode == callDefer:
+		if releaseMethods[method] {
+			uf.unlocks[key]++
+			uf.st.deferred[key]++
+		}
 	case acquireBlocking[method], acquireTry[method]:
 		if _, seen := uf.lockPos[key]; !seen {
 			uf.lockPos[key] = call.Pos()
 		}
-		st.held[key]++
-		delete(st.released, key)
+		uf.st.held[key]++
+		delete(uf.st.released, key)
 	case releaseMethods[method]:
 		uf.unlocks[key]++
-		if st.held[key] > 0 {
-			st.held[key]--
-		} else if st.released[key] {
+		if uf.st.held[key] > 0 {
+			uf.st.held[key]--
+		} else if uf.st.released[key] {
 			uf.pass.Reportf(call.Pos(), "%s released twice on this path (double unlock)", uf.descs[key])
 		}
-		st.released[key] = true
+		uf.st.released[key] = true
 	}
 }
 
-// deferCall handles `defer mu.Unlock()`, `defer func(){ mu.Unlock() }()`,
-// and `defer release()` where release is a local closure helper.
-func (uf *ulFunc) deferCall(call *ast.CallExpr, st *ulState) {
-	for _, a := range call.Args {
-		uf.expr(a, st, false)
-	}
-	if method, recv, ok := classifyLockCall(uf.pass.Pkg, call); ok {
-		if releaseMethods[method] {
-			if key, ok := uf.lockID(recv); ok {
-				uf.unlocks[key]++
-				st.deferred[key]++
-			}
-		}
+// call counts the releases inside a deferred closure, written in place
+// (`defer func(){ mu.Unlock() }()`) or bound to a local release helper
+// (`defer release()`), as deferred releases.
+func (uf *ulFunc) call(call *ast.CallExpr, mode int) {
+	lit := uf.callee(call.Fun).lit
+	if mode != callDefer || lit == nil {
 		return
 	}
-	var body *ast.BlockStmt
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.FuncLit:
-		body = fun.Body
-	case *ast.Ident:
-		// A deferred local release helper: resolve the variable back to
-		// the literal assigned to it.
-		obj := uf.pass.Pkg.Info.Uses[fun]
-		if obj == nil {
-			obj = uf.pass.Pkg.Info.Defs[fun]
-		}
-		if lit, ok := uf.fnLits[obj]; ok {
-			body = lit.Body
-		}
-	}
-	if body == nil {
-		return
-	}
-	// Releases inside the deferred closure count as deferred; the
-	// closure body is otherwise its own function.
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if inner, ok := n.(*ast.CallExpr); ok {
 			if method, recv, ok := classifyLockCall(uf.pass.Pkg, inner); ok && releaseMethods[method] {
 				if key, ok := uf.lockID(recv); ok {
 					uf.unlocks[key]++
-					st.deferred[key]++
+					uf.st.deferred[key]++
 				}
 			}
 		}
 		return true
 	})
+}
+
+func (uf *ulFunc) chanOp(int, ast.Expr, ast.Expr, token.Pos, bool) {}
+
+func (uf *ulFunc) funcLit(lit *ast.FuncLit) { checkUnlockFunc(uf.pass, lit.Body) }
+
+func (uf *ulFunc) ret(pos token.Pos) {
+	r := ulReturn{pos: pos, held: map[string]token.Pos{}, failed: map[string]bool{}, released: map[string]bool{}}
+	for key, n := range uf.st.held {
+		if n-uf.st.deferred[key] > 0 {
+			r.held[key] = uf.lockPos[key]
+		}
+	}
+	for k := range uf.st.failed {
+		r.failed[k] = true
+	}
+	for k, v := range uf.st.released {
+		if v {
+			r.released[k] = true
+		}
+	}
+	uf.returns = append(uf.returns, r)
+}
+
+func (uf *ulFunc) fork() { uf.frames = append(uf.frames, ulFrame{pre: uf.st.clone()}) }
+
+// arm starts from the state before the branch. On the arm where a
+// tested lock call failed, an acquire does not hold, a release did not
+// release, and a Cond wait left its mutex contract-dependent.
+func (uf *ulFunc) arm(fail *lockOutcome) {
+	uf.st = uf.frames[len(uf.frames)-1].pre.clone()
+	if fail == nil {
+		return
+	}
+	if condWaitMethods[fail.method] {
+		uf.st.failed[waitFailKey] = true
+		return
+	}
+	key, ok := uf.lockID(fail.recv)
+	if !ok {
+		return
+	}
+	if releaseMethods[fail.method] {
+		delete(uf.st.released, key)
+		return
+	}
+	if uf.st.held[key] > 0 {
+		uf.st.held[key]--
+	}
+	uf.st.failed[key] = true
+}
+
+func (uf *ulFunc) endArm(live bool) {
+	f := &uf.frames[len(uf.frames)-1]
+	switch {
+	case !live:
+	case f.merged == nil:
+		f.merged = uf.st
+	default:
+		f.merged.merge(uf.st)
+	}
+}
+
+// join continues with the merge of the arms that fall through; when
+// none does, the code after is reached only by a jump, and the state
+// before the branch stands in.
+func (uf *ulFunc) join() {
+	f := uf.frames[len(uf.frames)-1]
+	uf.frames = uf.frames[:len(uf.frames)-1]
+	uf.st = f.pre
+	if f.merged != nil {
+		uf.st = f.merged
+	}
 }

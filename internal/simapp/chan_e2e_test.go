@@ -27,7 +27,7 @@ func TestChannelStaticInoculation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	res := lint.AnalyzeLockOrder(prog, lint.LockOrderOptions{})
+	res := lint.Analyze(prog, lint.LockOrderOptions{}).LockOrder
 	var chanCycles []lint.ConfirmedCycle
 	for _, c := range res.Cycles {
 		carried := true
@@ -45,7 +45,7 @@ func TestChannelStaticInoculation(t *testing.T) {
 		t.Fatalf("payload table did not surface the ChannelLab inversion; cycles: %+v", res.Cycles)
 	}
 
-	emitted := lint.EmitHistoryCycles(chanCycles, lint.EmitOptions{Calibrate: true})
+	emitted := lint.EmitHistory(chanCycles, lint.EmitOptions{Calibrate: true})
 	if emitted.Len() == 0 {
 		t.Fatalf("nothing emitted from %d ChannelLab cycles", len(chanCycles))
 	}

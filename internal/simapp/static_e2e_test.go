@@ -28,7 +28,7 @@ func TestStaticInoculation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	res := lint.AnalyzeLockOrder(prog, lint.LockOrderOptions{})
+	res := lint.Analyze(prog, lint.LockOrderOptions{}).LockOrder
 	if len(res.Cycles) == 0 {
 		t.Fatalf("no cycles confirmed (candidates=%d guard=%d seq=%d)",
 			res.Candidates, res.SuppressedGuard, res.SuppressedSeq)
@@ -39,7 +39,7 @@ func TestStaticInoculation(t *testing.T) {
 
 	// Phase 2 — lower and push. Calibration is armed: the frames are
 	// pseudo-frames, the ladder reconciles them against real stacks.
-	emitted := lint.EmitHistory(res, lint.EmitOptions{Calibrate: true})
+	emitted := lint.EmitHistory(res.Cycles, lint.EmitOptions{Calibrate: true})
 	if emitted.Len() == 0 {
 		t.Fatalf("nothing emitted from %d cycles", len(res.Cycles))
 	}
