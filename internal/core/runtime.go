@@ -100,6 +100,11 @@ func New(cfg Config) (*Runtime, error) { return NewLab(cfg, Lab{}) }
 
 // NewLab is New with the lab knobs set.
 func NewLab(cfg Config, lab Lab) (*Runtime, error) {
+	// Every implicit operation keys its thread on the goroutine ID; with
+	// none available all goroutines would share one never-pruned thread.
+	if gid.Current() == 0 {
+		return nil, errors.New("dimmunix: goroutine identity unavailable: this Go runtime's goroutine IDs can be neither read nor parsed")
+	}
 	if cfg.MatchDepth > stack.MaxCaptureDepth {
 		return nil, fmt.Errorf("dimmunix: MatchDepth %d exceeds the %d frames one capture can hold",
 			cfg.MatchDepth, stack.MaxCaptureDepth)
@@ -407,8 +412,9 @@ func (rt *Runtime) RegisterThread(name string) *Thread {
 }
 
 // CurrentThread returns the calling goroutine's thread handle,
-// registering it on first use — the implicit identity API (costs a
-// goroutine-ID extraction per call; hot paths should hold a *Thread).
+// registering it on first use — the implicit identity API. A call costs
+// a goroutine-ID read (a few ns once gid has armed; see gid.Mode) plus a
+// sharded table lookup, so holding a *Thread saves little on hot paths.
 //
 // Every core lock/unlock/wait operation pins its thread for its whole
 // duration (including blocked waits), and the idle pruner never touches

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"dimmunix/internal/gid"
 	"dimmunix/internal/obs"
 )
 
@@ -77,6 +78,11 @@ type StatsSnapshot struct {
 	// Runtime housekeeping.
 	ThreadPrunes uint64 `json:"thread_prunes"`
 	LiveThreads  int    `json:"live_threads"`
+
+	// Identity is how the process identifies goroutines (gid.Mode):
+	// "verifying" or "armed" read the goroutine ID out of the runtime,
+	// "parse" takes it from a stack-dump header. Process-wide, read-only.
+	Identity string `json:"identity"`
 
 	// HistoryEpoch is the danger-index epoch (bumped by every history
 	// mutation, including remote merges — the fast path's invalidation
@@ -171,6 +177,7 @@ func (rt *Runtime) Stats() StatsSnapshot {
 
 		ThreadPrunes: rt.threadPrunes.Load(),
 		LiveThreads:  rt.NumThreads(),
+		Identity:     gid.Mode(),
 
 		HistoryEpoch:      danger.Epoch(),
 		HistorySignatures: rt.hist.Len(),

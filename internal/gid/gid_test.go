@@ -66,8 +66,163 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// arm drives the process's identity to the armed read, skipping on a
+// GOARCH with no getg stub.
+func arm(t *testing.T) {
+	t.Helper()
+	if getg() == nil {
+		t.Skip("no getg stub on this GOARCH: identity is the parse")
+	}
+	for range verifyN {
+		Current()
+	}
+	if m := Mode(); m != "armed" {
+		t.Fatalf("Mode after %d calls = %q, want armed", verifyN, m)
+	}
+}
+
+func TestDiscoveryArmsTheRead(t *testing.T) {
+	arm(t)
+	if got, want := Current(), parsed(); got != want {
+		t.Fatalf("armed read = %d, parse = %d", got, want)
+	}
+}
+
+// TestPoisonedOffsetFallsBackToParse: a read that disagrees with the parse
+// while verifying moves the process to the parse for good.
+func TestPoisonedOffsetFallsBackToParse(t *testing.T) {
+	arm(t)
+	poison(t)
+	if got, want := Current(), parsed(); got != want {
+		t.Fatalf("verified call returned %d, parse says %d", got, want)
+	}
+	if m := Mode(); m != "parse" {
+		t.Fatalf("Mode after a disagreeing read = %q, want parse", m)
+	}
+	for range 2 * verifyN {
+		if got, want := Current(), parsed(); got != want {
+			t.Fatalf("Current = %d on the parse, want %d", got, want)
+		}
+	}
+	if m := Mode(); m != "parse" {
+		t.Fatalf("Mode = %q after further calls, want parse for good", m)
+	}
+}
+
+// TestConcurrentVerificationArms: goroutines verifying at once agree with
+// the parse throughout and arm the read once between them.
+func TestConcurrentVerificationArms(t *testing.T) {
+	arm(t)
+	reverify(t, 0)
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range verifyN {
+				if got, want := Current(), parsed(); got != want {
+					t.Errorf("Current = %d while verifying, parse = %d", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if m := Mode(); m != "armed" {
+		t.Fatalf("Mode after %d concurrent verified calls = %q, want armed", 8*verifyN, m)
+	}
+}
+
+// TestSettleNeedsExactlyOneOffset: discovery reads g only when exactly one
+// offset survives the intersection.
+func TestSettleNeedsExactlyOneOffset(t *testing.T) {
+	keepMode(t)
+	for _, c := range []struct {
+		name string
+		set  uint64
+		want string
+	}{
+		{"none", 0, "parse"},
+		{"several", 1<<20 | 1<<23, "parse"},
+		{"one", 1 << 20, "verifying"},
+	} {
+		settle(c.set)
+		if m := Mode(); m != c.want {
+			t.Errorf("%s survivors: Mode = %q, want %q", c.name, m, c.want)
+		}
+	}
+	if off != 160 {
+		t.Errorf("bit 20 settled at offset %d, want 160", off)
+	}
+}
+
+func TestCandidatesFindTheGoid(t *testing.T) {
+	if getg() == nil {
+		t.Skip("no getg stub on this GOARCH")
+	}
+	set := candidates(getg(), parsed())
+	if set == 0 {
+		t.Fatal("no word of g equals the parsed goid")
+	}
+	if candidates(getg(), 0) != 0 {
+		t.Fatal("an unparsed goid produced candidates")
+	}
+}
+
+// TestArmedReadAgreesOnRecycledGs: the armed read names goroutines by
+// goid, not by g. Sequential short-lived goroutines run on recycled gs;
+// each must still read its own, never reused, goid. Under -race the
+// reads run with checkptr on.
+func TestArmedReadAgreesOnRecycledGs(t *testing.T) {
+	arm(t)
+	const n = 2000
+	type sample struct {
+		g       uintptr
+		id, par uint64
+	}
+	gs := make(map[uintptr]bool, n)
+	ids := make(map[uint64]bool, n)
+	for range n {
+		ch := make(chan sample)
+		go func() { ch <- sample{uintptr(getg()), Current(), parsed()} }()
+		s := <-ch
+		if s.id != s.par {
+			t.Fatalf("read %d, parse %d", s.id, s.par)
+		}
+		if ids[s.id] {
+			t.Fatalf("goid %d seen twice", s.id)
+		}
+		ids[s.id] = true
+		gs[s.g] = true
+	}
+	if len(gs) == n {
+		t.Fatalf("%d goroutines ran on %d distinct gs: no g was recycled, so the test proved nothing", n, len(gs))
+	}
+	if m := Mode(); m != "armed" {
+		t.Fatalf("Mode = %q after the recycled-g run, want armed", m)
+	}
+}
+
+func TestForceUnreadable(t *testing.T) {
+	restore := ForceUnreadable()
+	got, m := Current(), Mode()
+	restore()
+	if got != 0 || m != "parse" {
+		t.Fatalf("forced unreadable: Current = %d, Mode = %q; want 0, parse", got, m)
+	}
+	if Current() == 0 {
+		t.Fatal("Current still 0 after restore")
+	}
+}
+
 func BenchmarkCurrent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = Current()
+	}
+}
+
+func BenchmarkParse(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		_ = parsed()
 	}
 }
