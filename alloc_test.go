@@ -2,8 +2,8 @@
 // uncontended fast tier is the product's hot path and must stay at zero
 // allocations per operation (amortized: the per-thread event buffer
 // publishes one pooled carrier to the monitor queue every
-// core.DefaultEventBatch operations, so the per-op average stays well
-// under one). The guarded tier's budget is bounded, not zero.
+// event.BatchSize records, so the per-op average stays well under one).
+// The guarded tier's budget is bounded, not zero.
 //
 // testing.AllocsPerRun counts process-wide mallocs, so the runtimes here
 // are configured with an effectively-idle monitor (huge Tau) and pruning
@@ -109,10 +109,9 @@ func TestFastPathLockUnlockZeroAllocs(t *testing.T) {
 			defer th.Close()
 			m := rt.NewMutex()
 			next := 0
-			// Twice as deep as the paths vary: a depth-bounded key (a few
-			// frames longer under -tags dimmunix.fp, whose walker does
-			// not see inlined wrappers) stays inside allocSite's frames,
-			// so it does not depend on who calls pair.
+			// Twice as deep as the paths vary: a depth-bounded key stays
+			// inside allocSite's frames, so it does not depend on who
+			// calls pair.
 			pair := func() {
 				allocSite(t, next%row.paths, 8, m, th)
 				next++

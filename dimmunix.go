@@ -45,8 +45,8 @@
 // that need several isolated instances: construct a Runtime with
 // NewRuntime (options) or New (a Config), create locks with
 // Runtime.NewMutex / NewRWMutex (returning *CoreMutex / *CoreRWMutex),
-// and optionally pin per-goroutine identity with Runtime.RegisterThread
-// for the fastest path:
+// and optionally pin per-goroutine identity with Runtime.RegisterThread,
+// a named handle the idle pruner never retires:
 //
 //	rt := dimmunix.MustNew(dimmunix.Config{HistoryPath: "hist.json"})
 //	defer rt.Stop()
@@ -75,13 +75,14 @@ type (
 	// Config configures a Runtime: the complete configuration surface.
 	Config = core.Config
 	// CoreMutex is the explicit-runtime instrumented mutex returned by
-	// Runtime.NewMutex — the original fast-path surface underneath the
-	// drop-in Mutex.
+	// Runtime.NewMutex — the explicit surface underneath the drop-in
+	// Mutex.
 	CoreMutex = core.Mutex
 	// CoreRWMutex is the explicit-runtime reader/writer mutex returned
 	// by Runtime.NewRWMutex, underneath the drop-in RWMutex.
 	CoreRWMutex = core.RWMutex
-	// Thread is an explicit per-goroutine handle (fast path).
+	// Thread is an explicit per-goroutine handle, for isolated runtimes,
+	// tests and tools.
 	Thread = core.Thread
 	// MutexKind selects normal/recursive/error-checking semantics.
 	MutexKind = core.MutexKind

@@ -21,7 +21,7 @@
 // guarded state at all — one atomic marker check plus the event pushes.
 //
 // Event emission to the monitor is lock-free (MPSC queue). Bookkeeping
-// events (acquired, release) are batched per thread (Config.EventBatch)
+// events (acquired, release) are batched per thread (event.BatchSize)
 // and flushed either when a batch fills, when the same thread emits an
 // ordering event (request/go/yield/cancel/thread-exit — those always
 // flush first, so per-thread FIFO order is preserved end to end), or when
@@ -192,11 +192,8 @@ type Config struct {
 	// its best depth — §8: such signatures are obsolete (e.g. the bug
 	// was fixed by an upgrade).
 	DiscardObsolete bool
-	// EventBatch is the per-thread bookkeeping-event batch size: acquired
-	// and release events accumulate in a per-thread buffer published to
-	// the monitor queue one Batch event per EventBatch records (ordering
-	// events and the monitor's per-pass steal flush earlier). <= 1
-	// publishes every event immediately.
+	// EventBatch is ignored (the batch size is event.BatchSize); it stays
+	// until benchmark/ stops setting it.
 	EventBatch int
 	// Bus, when non-nil, receives AvoidanceYield observability events.
 	// Publishes are gated on Bus.Active, so an unobserved runtime pays a
@@ -381,13 +378,9 @@ func (c *Cache) DangerView() (epoch uint64, shallow int) {
 }
 
 // bufEmit routes a per-thread event (request/go/acquired/release) through
-// the thread's batch buffer, or straight to the queue when batching is off.
+// the thread's batch buffer.
 func (c *Cache) bufEmit(t *ThreadState, k event.Kind, lid uint64, in *stack.Interned) {
-	if c.cfg.EventBatch <= 1 {
-		c.emit(event.Event{Kind: k, TID: t.ID, LID: lid, Stack: in})
-		return
-	}
-	t.buf.Add(t.ID, event.Record{Kind: k, LID: lid, Stack: in}, c.cfg.EventBatch, c.emitBatch)
+	t.buf.Add(t.ID, event.Record{Kind: k, LID: lid, Stack: in}, event.BatchSize, c.emitBatch)
 }
 
 // flushBuf publishes t's buffered events. Every directly-emitted event
@@ -395,9 +388,7 @@ func (c *Cache) bufEmit(t *ThreadState, k event.Kind, lid uint64, in *stack.Inte
 // whose payload doesn't fit the Record format) calls this first, so a
 // thread's events still reach the queue in program order.
 func (c *Cache) flushBuf(t *ThreadState) {
-	if c.cfg.EventBatch > 1 {
-		t.buf.Flush(t.ID, c.emitBatch)
-	}
+	t.buf.Flush(t.ID, c.emitBatch)
 }
 
 func (c *Cache) emitBatch(ev event.Event) {
@@ -409,12 +400,9 @@ func (c *Cache) emitBatch(ev event.Event) {
 // monitor calls this at the top of each pass, so batching never delays
 // detection beyond one τ.
 func (c *Cache) FlushBuffers() {
-	if c.cfg.EventBatch <= 1 {
-		return
-	}
 	c.threadsMu.Lock()
 	for _, t := range c.threads {
-		t.buf.Flush(t.ID, c.emitBatch)
+		c.flushBuf(t)
 	}
 	c.threadsMu.Unlock()
 }
@@ -534,7 +522,7 @@ func (c *Cache) ReleaseAny(t *ThreadState, l *LockState) {
 func (c *Cache) FastRelease(t *ThreadState, l *LockState) {
 	c.stats.Releases.Add(1)
 	lonely := t.liveHolds.Add(-1) == 0
-	if lonely && c.cfg.EventBatch > 1 && t.buf.ElideRelease(l.ID) {
+	if lonely && t.buf.ElideRelease(l.ID) {
 		return
 	}
 	c.bufEmit(t, event.Release, l.ID, nil)

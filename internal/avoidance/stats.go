@@ -32,7 +32,7 @@ type Stats struct {
 	GuardedAcquired atomic.Uint64
 
 	// EventBatches counts Batch carrier events published to the monitor
-	// queue (each packs up to Config.EventBatch bookkeeping events).
+	// queue (each packs up to event.BatchSize bookkeeping events).
 	EventBatches atomic.Uint64
 
 	// sigYields counts YIELD decisions per signature ID, lock-free

@@ -201,13 +201,6 @@ type Lab struct {
 	EventBuffer int
 }
 
-// DefaultEventBatch is the per-thread monitor-publication batch size:
-// bookkeeping events (acquired/release) accumulate in a per-thread buffer
-// published to the monitor queue as one carrier event when full, when the
-// thread is about to block or exit, and at the start of every monitor
-// pass — so detection still sees every operation within one τ.
-const DefaultEventBatch = 64
-
 // minCaptureDepth is the capture depth when nothing asks for more.
 const minCaptureDepth = 16
 

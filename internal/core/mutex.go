@@ -46,9 +46,10 @@ var (
 )
 
 // Mutex is Dimmunix's instrumented mutex. Create with Runtime.NewMutex.
-// The explicit-thread methods (LockT, UnlockT, ...) are the fast path;
-// the implicit methods (Lock, Unlock, ...) resolve the calling goroutine
-// via its goroutine ID first.
+// The explicit-thread methods (LockT, UnlockT, ...) take a Thread handle,
+// for isolated runtimes, tests and tools; the implicit methods (Lock,
+// Unlock, ...) resolve the calling goroutine via its goroutine ID first.
+// Both run the same acquisition pipeline.
 type Mutex struct {
 	rt   *Runtime
 	kind MutexKind

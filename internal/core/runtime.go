@@ -235,7 +235,6 @@ func NewLab(cfg Config, lab Lab) (*Runtime, error) {
 		IgnoreDecisions: lab.IgnoreDecisions,
 		ProbeDepth:      lab.ProbeDepth,
 		DiscardObsolete: cfg.DiscardObsolete,
-		EventBatch:      DefaultEventBatch,
 		Bus:             rt.bus,
 	}, rt.interner, hist, rt.stats, rt.q.Push)
 

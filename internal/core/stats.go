@@ -41,8 +41,9 @@ type StatsSnapshot struct {
 	GuardedAcquired uint64 `json:"guarded_acquired"`
 
 	// EventBatches counts Batch carrier events published to the monitor
-	// queue (DefaultEventBatch records each); EventsProcessed below counts the
-	// unpacked operations, so the ratio is the realized batch occupancy.
+	// queue (up to event.BatchSize records each); EventsProcessed below
+	// counts the unpacked operations, so the ratio is the realized batch
+	// occupancy.
 	EventBatches uint64 `json:"event_batches"`
 
 	// YieldsBySignature maps signature ID to how many YIELD decisions

@@ -10,8 +10,9 @@ import (
 )
 
 // Thread is Dimmunix's handle for one application thread (goroutine).
-// Obtain one explicitly with Runtime.RegisterThread (fast) or implicitly
-// via Runtime.CurrentThread / the Mutex implicit-API methods (convenient).
+// Obtain one explicitly with Runtime.RegisterThread (named, never pruned)
+// or implicitly via Runtime.CurrentThread / the Mutex implicit-API methods
+// (pruned once idle).
 // A Thread must only be used by one goroutine at a time.
 type Thread struct {
 	rt  *Runtime
@@ -95,27 +96,6 @@ func (t *Thread) consumeAbort() {
 	t.abortMu.Unlock()
 }
 
-// capturePCs is the single raw-PC capture site for the core layer: both
-// the full-stack path (captureStack) and the fast-tier classification
-// path (captureClassified) funnel through it into stack.CapturePCs,
-// which is runtime.Callers by default and the frame-pointer walker under
-// -tags dimmunix.fp. extraSkip counts frames above capturePCs's caller
-// (extraSkip=0 makes the caller's caller the innermost entry, matching
-// the old runtime.Callers(extraSkip+2, ...) accounting).
-//
-// capturePCs and both its callers are noinline so the skip chain is made
-// of physical frames: the frame-pointer walker skips physical frames,
-// and inlining any function in the chain would make its physical count
-// diverge from runtime.Callers' logical count. Frames above the chain
-// (Runtime.acquire and the entry point that called it) need no exact
-// skip: internPCs strips Dimmunix frames after symbolization and the
-// capture bounds allow for however many of them it has observed.
-//
-//go:noinline
-func capturePCs(extraSkip int, buf []uintptr) int {
-	return stack.CapturePCs(extraSkip+2, buf)
-}
-
 // fullBound is the raw-PC bound of a full capture: captureDepth
 // application frames below wrap Dimmunix frames.
 func (rt *Runtime) fullBound(wrap int) int {
@@ -130,12 +110,15 @@ func (rt *Runtime) fullBound(wrap int) int {
 // (Runtime.pcCache): after the first occurrence of a call path, a capture
 // costs one stack walk plus one hash lookup.
 //
-//go:noinline
+// extraSkip counts frames above captureStack's caller to leave out of the
+// walk. It need not be exact: internPCs strips Dimmunix frames after
+// symbolization, and the capture bounds allow for however many of them it
+// has observed.
 func (t *Thread) captureStack(extraSkip int) *stack.Interned {
 	var pcbuf [stack.MaxCaptureDepth + 2]uintptr
 	for {
 		bound := t.rt.fullBound(int(t.rt.wrapDepth.Load()))
-		n := capturePCs(extraSkip, pcbuf[:bound])
+		n := stack.CapturePCs(extraSkip+1, pcbuf[:bound])
 		if in := t.internPCs(pcbuf[:n], bound); in != nil {
 			return in
 		}
@@ -223,8 +206,6 @@ func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 //
 // When the fast tier is off (mode, IgnoreDecisions, DisableFastPath) the
 // verdict is always "not safe" and this devolves to captureStack.
-//
-//go:noinline
 func (t *Thread) captureClassified(extraSkip int) (*stack.Interned, bool) {
 	rt, cache := t.rt, t.rt.cache
 	if !cache.FastOK() {
@@ -238,7 +219,7 @@ func (t *Thread) captureClassified(extraSkip int) (*stack.Interned, bool) {
 		bound = min(max(shallow, rt.cfg.MatchDepth)+int(wrap), full)
 	}
 	var pcbuf [stack.MaxCaptureDepth + 2]uintptr
-	pcs := pcbuf[:capturePCs(extraSkip, pcbuf[:bound])]
+	pcs := pcbuf[:stack.CapturePCs(extraSkip+1, pcbuf[:bound])]
 	bounded := len(pcs) == bound && bound < full
 	if !bounded {
 		if in := t.internPCs(pcs, full); in != nil {

@@ -2,9 +2,9 @@
 // instrumentation and the monitor thread (§3: request, go, yield, acquired,
 // release; §6 adds cancel for pthreads trylock/timedlock rollback).
 //
-// Per-thread events (request/go/acquired/release) may travel batched: a
-// thread accumulates them as compact Records in a Buffer and publishes one
-// Batch event per slab instead of one queue push per operation. Events
+// Per-thread events (request/go/acquired/release) travel batched: a thread
+// accumulates them as compact Records in a Buffer and publishes one Batch
+// event per BatchSize records instead of one queue push per operation. Events
 // whose payload doesn't fit the Record format — yield (causes), cancel,
 // thread-exit — are emitted directly; the avoidance layer flushes the
 // thread's buffer before emitting them, so per-thread FIFO order through
@@ -94,7 +94,7 @@ type Record struct {
 // consumer (monitor drain). Slabs round-trip as *[]Record so neither side
 // boxes a slice header per batch.
 var recsPool = sync.Pool{New: func() any {
-	rs := make([]Record, 0, 64)
+	rs := make([]Record, 0, BatchSize)
 	return &rs
 }}
 
@@ -108,6 +108,10 @@ func PutRecs(rs *[]Record) {
 	*rs = (*rs)[:0]
 	recsPool.Put(rs)
 }
+
+// BatchSize is the per-thread publication batch size: the number of
+// records a Buffer accumulates before publishing them as one Batch event.
+const BatchSize = 64
 
 // Buffer accumulates one thread's bookkeeping records and publishes them as
 // Batch events. The mutex makes Add/Flush safe against the monitor's

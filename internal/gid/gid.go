@@ -11,10 +11,10 @@
 // assembly stub (getg_*.s) returns the calling goroutine's g, and the
 // goid's offset in it is discovered once per process, by scanning g on
 // the caller and on a few spawned goroutines for the word equal to each
-// one's parsed ID (see discover). The read is trusted on verification,
-// like the dimmunix.fp frame-pointer walker: the first verifyN calls
-// compare it against the parse, after which Current is one atomic load and
-// one memory read, a few nanoseconds at any stack depth. Discovery that
+// one's parsed ID (see discover). The read is trusted on verification:
+// the first verifyN calls compare it against the parse, after which
+// Current is one atomic load and one memory read, a few nanoseconds at any
+// stack depth. Discovery that
 // does not single out one offset, any disagreement while verifying, or a
 // GOARCH with no stub switches the process to the parse for good, with no
 // error: the header line of runtime.Stack ("goroutine N [running]:"),

@@ -10,7 +10,7 @@
 // acquired event on L in Tj because the producer-side happens-before edge
 // (unlock in Ti ≺ lock completes in Tj) orders the two exchanges.
 //
-// With batched publication (core.DefaultEventBatch) a producer's
+// With batched publication (event.BatchSize) a producer's
 // per-thread events travel inside Batch carrier events. Per-thread order
 // is preserved because a thread's buffer publishes while holding the
 // buffer's mutex — a monitor-side flush (Cache.FlushBuffers) that steals

@@ -7,14 +7,12 @@ import (
 )
 
 // The capture-only microbench ladder: what one raw PC walk costs at
-// several call depths, for each capture strategy. This isolates the
+// several call depths, for each capture bound. This isolates the
 // mandatory per-operation cost the fast tier pays before any caching —
 // the capture ladder quoted in README "Performance" comes from these.
 //
 // "full" is the pre-shallow-capture behavior (MaxCaptureDepth buffer),
-// "shallow" the depth-bounded walk the call-site table is keyed on,
-// and "pcs" whatever CapturePCs resolves to in this build (runtime.Callers
-// by default; the frame-pointer walker under -tags dimmunix.fp).
+// "shallow" the depth-bounded walk the call-site table is keyed on.
 
 var sinkN int
 
@@ -52,17 +50,6 @@ func BenchmarkCaptureShallowCallers(b *testing.B) {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
 			benchAtDepth(b, depth, func() int {
 				return runtime.Callers(2, buf[:8])
-			})
-		})
-	}
-}
-
-func BenchmarkCapturePCs(b *testing.B) {
-	var buf [MaxCaptureDepth + 2]uintptr
-	for _, depth := range []int{4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
-			benchAtDepth(b, depth, func() int {
-				return CapturePCs(0, buf[:8])
 			})
 		})
 	}

@@ -57,6 +57,19 @@ type Stack []Frame
 // calibration to explore deeper rungs.
 const MaxCaptureDepth = 32
 
+// CapturePCs records up to len(buf) raw return PCs of the calling
+// goroutine into buf, skipping skip frames above CapturePCs itself
+// (skip=0 makes the caller of CapturePCs the innermost entry), and
+// returns the number recorded. This is the one primitive every Dimmunix
+// stack capture goes through; the buffer length is the capture bound, so
+// a shallow classification walk and a full archival walk differ only in
+// the slice they pass. Frames are logical, as runtime.Callers counts
+// them: inlined calls count, compiler-generated wrappers do not.
+func CapturePCs(skip int, buf []uintptr) int {
+	// +2 skips runtime.Callers and CapturePCs itself.
+	return runtime.Callers(skip+2, buf)
+}
+
 // Capture records the current goroutine's call stack, skipping skip frames
 // on top of Capture itself (skip=0 means the caller of Capture is the
 // innermost frame). At most max frames are recorded; max <= 0 means

@@ -115,7 +115,7 @@ func (b *binder[L]) do(newLock func(*Runtime) L, op func(L) error) error {
 }
 
 // Core exposes the underlying explicit-runtime mutex (binding it first
-// if needed), for interop with the Thread fast path and Cond.
+// if needed), for interop with explicit Thread handles and Cond.
 func (m *Mutex) Core() *CoreMutex { return m.b.core((*Runtime).NewMutex) }
 
 // must panics on an acquisition error the sync-shaped signatures cannot

@@ -107,6 +107,21 @@ var pipeEntries = []pipeEntry{
 		e.line = nextLine()
 		return e.mu.LockTimeout(time.Minute)
 	}, release: func(e *pipeEnv) { e.mu.Unlock() }},
+	// The same Lock through an interface value and through a method value:
+	// whatever dispatch or wrapper code the compiler puts between the call
+	// and Mutex.Lock, the application's line stays the innermost frame.
+	{name: "Mutex.Lock.viaLocker", acquire: func(e *pipeEnv) error {
+		var l sync.Locker = &e.mu
+		e.line = nextLine()
+		l.Lock()
+		return nil
+	}, release: func(e *pipeEnv) { e.mu.Unlock() }},
+	{name: "Mutex.Lock.viaMethodValue", acquire: func(e *pipeEnv) error {
+		f := e.mu.Lock
+		e.line = nextLine()
+		f()
+		return nil
+	}, release: func(e *pipeEnv) { e.mu.Unlock() }},
 
 	// Drop-in RWMutex.
 	{name: "RWMutex.Lock", acquire: func(e *pipeEnv) error {
@@ -294,8 +309,7 @@ var pipeEntries = []pipeEntry{
 // The call ladder of the aliasing differential: an entry point's acquire
 // closure runs under pipeMid < pipeOuter, reached through pipeTopA or
 // pipeTopB. The two paths share their innermost three application frames
-// (closure, pipeMid, pipeOuter) and differ in the fourth. noinline keeps
-// the frames physical for the frame-pointer capture build too.
+// (closure, pipeMid, pipeOuter) and differ in the fourth.
 
 //go:noinline
 func pipeMid(e *pipeEnv, acquire func(*pipeEnv) error) error { return acquire(e) }

@@ -28,7 +28,7 @@ type RWMutex struct {
 }
 
 // Core exposes the underlying explicit-runtime RWMutex (binding it
-// first if needed), for interop with the Thread fast path.
+// first if needed), for interop with explicit Thread handles.
 func (rw *RWMutex) Core() *CoreRWMutex { return rw.b.core((*Runtime).NewRWMutex) }
 
 // Lock write-locks, running the full avoidance protocol. It panics only

@@ -7,6 +7,7 @@ package dimmunix_test
 import (
 	"context"
 	"errors"
+	"go/build/constraint"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -298,6 +299,75 @@ func TestPublicSurfaceDrift(t *testing.T) {
 			t.Errorf("%s:\n got  %v\n want %v", c.what, c.got, c.want)
 		}
 	}
+}
+
+// platformTags are the build-constraint terms that name a platform: every
+// GOOS and GOARCH the toolchain knows, and unix.
+var platformTags = strings.Fields(`unix
+	aix android darwin dragonfly freebsd hurd illumos ios js linux nacl
+	netbsd openbsd plan9 solaris wasip1 windows zos
+	386 amd64 amd64p32 arm armbe arm64 arm64be loong64 mips mipsle mips64
+	mips64le mips64p32 mips64p32le ppc ppc64 ppc64le riscv riscv64 s390
+	s390x sparc sparc64 wasm`)
+
+// TestBuildConstraintsNamePlatforms: a //go:build line may select a
+// platform, never a configuration. A build tag is a knob with no caller
+// in this module — and one that changes what a capture records would let
+// two builds archive different stacks for the same bug.
+func TestBuildConstraintsNamePlatforms(t *testing.T) {
+	platform := map[string]bool{}
+	for _, tag := range platformTags {
+		platform[tag] = true
+	}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "benchmark" || name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if ext := filepath.Ext(path); ext != ".go" && ext != ".s" {
+			return nil
+		}
+		for _, line := range strings.Split(readSource(t, path), "\n") {
+			if !constraint.IsGoBuild(line) {
+				continue
+			}
+			expr, err := constraint.Parse(line)
+			if err != nil {
+				t.Errorf("%s: %v", path, err)
+				continue
+			}
+			for _, tag := range constraintTags(expr) {
+				if !platform[tag] {
+					t.Errorf("%s: %q: build tag %q is not a GOOS, GOARCH or unix", path, line, tag)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// constraintTags lists every tag x mentions. (Expr.Eval would skip the
+// operand a short-circuit decides without.)
+func constraintTags(x constraint.Expr) []string {
+	switch x := x.(type) {
+	case *constraint.TagExpr:
+		return []string{x.Tag}
+	case *constraint.NotExpr:
+		return constraintTags(x.X)
+	case *constraint.AndExpr:
+		return append(constraintTags(x.X), constraintTags(x.Y)...)
+	case *constraint.OrExpr:
+		return append(constraintTags(x.X), constraintTags(x.Y)...)
+	}
+	return nil
 }
 
 // TestOptionsSetTheirField: every With* constructor is a shorthand for
