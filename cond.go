@@ -83,15 +83,25 @@ func (c *Cond) core() *core.Cond {
 // thread's re-acquisition, Wait panics with ErrDeadlockRecovered (the
 // in-process restart), exactly like Mutex.Lock. Use WaitCtx to observe
 // recovery or cancellation as an error instead.
+//
+// The wait walks its caller's call site before parking, completely (see
+// core.Site.BoundComplete), for the re-acquisition. After a rebind the
+// walk belongs to the superseded runtime, so the re-acquisition through
+// the rebound mutex captures from inside the lock path instead.
+//
+//go:noinline
 func (c *Cond) Wait() {
-	err := c.core().Wait()
+	var s core.Site
+	cc := c.core()
+	s.Walk(s.BoundComplete(cc.L))
+	err := core.CondWait(cc, &s)
 	switch {
 	case err == nil:
 	case errors.Is(err, core.ErrMutexRetired):
 		// The binding was superseded mid-wait (Shutdown→Init). The
 		// re-acquisition bounced; take the mutex through the facade
 		// (which rebinds) and surface a spurious wakeup.
-		c.L.Lock()
+		must(c.L.b.do(c.L.b.core((*Runtime).NewMutex), (*Runtime).NewMutex, func(m *core.Mutex) error { return core.MutexLock(m, &s) }))
 	default:
 		panic(err)
 	}
@@ -103,15 +113,17 @@ func (c *Cond) Wait() {
 // unwinds the re-acquisition, ErrDeadlockRecovered is returned and the
 // mutex is NOT held — the caller abandons its critical section, the
 // in-process analog of the paper's restart (§3).
+//
+//go:noinline
 func (c *Cond) WaitCtx(ctx context.Context) error {
-	err := c.core().WaitCtx(ctx)
+	var s core.Site
+	cc := c.core()
+	s.Walk(s.BoundComplete(cc.L))
+	err := core.CondWaitCtx(cc, &s, ctx)
 	if errors.Is(err, core.ErrMutexRetired) {
 		// Superseded mid-wait; reacquire through the facade and report
 		// a spurious wakeup (nil), unless ctx fired too.
-		if lerr := c.L.LockCtx(ctx); lerr != nil {
-			return lerr
-		}
-		return nil
+		return c.L.b.do(c.L.b.core((*Runtime).NewMutex), (*Runtime).NewMutex, func(m *core.Mutex) error { return core.MutexLockCtx(m, &s, ctx) })
 	}
 	return err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"time"
 )
 
@@ -103,12 +104,15 @@ func (dl *deadline) stop() {
 }
 
 // acquire is the one acquisition pipeline: every Lock/RLock/TryLock/
-// LockCtx/LockTimeout variant of Mutex and RWMutex (and, through
-// Mutex.LockT, Cond's re-acquisition) is this function over a rawLock and
-// a lockReq. It runs the full §5.4 avoidance protocol — request ->
-// (yield)* -> go -> block -> acquired — on behalf of t for the lock whose
-// avoidance node is ls.
-func (rt *Runtime) acquire(t *Thread, raw rawLock, ls *lockStateRef, req lockReq) error {
+// LockCtx/LockTimeout variant of Mutex and RWMutex, and Cond's
+// re-acquisition, is this function over a rawLock, the Site its entry
+// point walked and a lockReq. It runs the full §5.4 avoidance protocol —
+// request -> (yield)* -> go -> block -> acquired — on behalf of t for the
+// lock whose avoidance node is ls.
+func (rt *Runtime) acquire(t *Thread, raw rawLock, ls *lockStateRef, s *Site, req lockReq) error {
+	if h := siteHook.Load(); h != nil {
+		(*h)(slices.Clone(s.pcs[:s.n]))
+	}
 	if req.timeout < 0 {
 		return ErrTimeout
 	}
@@ -129,7 +133,7 @@ func (rt *Runtime) acquire(t *Thread, raw rawLock, ls *lockStateRef, req lockReq
 	// is not counted: the hold counter tracks one hold per owner.
 	if ok, err := raw.reenter(t, req.shared); ok || err != nil {
 		if ok && rt.cfg.Mode != ModeOff {
-			in := t.captureStack(1)
+			in, _ := t.classify(s)
 			if rt.cache.ReentrantAcquired(t.ts, ls, in) {
 				raw.noteFastHold(t, in, req.shared)
 			}
@@ -146,14 +150,16 @@ func (rt *Runtime) acquire(t *Thread, raw rawLock, ls *lockStateRef, req lockReq
 	}
 
 	// Latency sampling: 1-in-64 fast-tier operations take two timestamps
-	// (see Runtime.latFast); the other 63 pay one counter increment.
+	// (see Runtime.latFast); the other 63 pay one counter increment. The
+	// entry point walked its caller's frames before acquire, so a sample
+	// covers classification, tiering and the raw grant, not the walk.
 	t.latCtr++
 	var t0 time.Time
 	if t.latCtr&63 == 0 {
 		t0 = time.Now()
 	}
 
-	in, safe := t.captureClassified(1)
+	in, safe := t.classify(s)
 
 	// Fast tier: a stack provably safe under the live history epoch skips
 	// the guarded §5.4 protocol entirely — in steady state one atomic

@@ -90,12 +90,17 @@ func (f *fakeLock) noteFastHold(t *Thread, in *stackInterned, shared bool) {
 }
 
 // lock is the single application call site of every acquisition in these
-// tests (this file is the application as far as call-site stripping goes).
+// tests (this file is the application as far as call-site stripping goes),
+// so its walk starts at its own frame.
 //
 //go:noinline
 func (f *fakeLock) lock(t *Thread, req lockReq) error {
-	return f.rt.acquire(t, f, f.ls, req)
+	var s Site
+	s.n = stack.CapturePCs(0, s.Bound(f))
+	return f.rt.acquire(t, f, f.ls, &s, req)
 }
+
+func (f *fakeLock) runtime() *Runtime { return f.rt }
 
 func (f *fakeLock) unlock(t *Thread) {
 	f.held[t]--

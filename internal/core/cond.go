@@ -35,11 +35,18 @@ func (rt *Runtime) NewCond(l *Mutex) *Cond {
 // Runtime.NewCond: the runtime is implied by the mutex).
 func NewCond(l *Mutex) *Cond { return &Cond{L: l} }
 
+// The wait methods below are entry points: each walks its caller's call
+// site in its own body before parking, for the re-acquisition. The walk
+// is complete (Site.BoundComplete): it outlives the wait, and a complete
+// capture stays valid under whatever epoch the history reached meanwhile.
+
 // WaitT atomically releases the mutex, waits for Signal/Broadcast (or an
 // abort from deadlock recovery), and re-acquires the mutex through the
 // full avoidance protocol before returning.
 func (c *Cond) WaitT(t *Thread) error {
-	return c.waitT(t, 0, nil)
+	var s Site
+	s.Walk(s.BoundComplete(c.L))
+	return c.waitT(t, 0, nil, &s)
 }
 
 // WaitTimeoutT is WaitT with a bound on the wait for the signal. The
@@ -47,7 +54,9 @@ func (c *Cond) WaitT(t *Thread) error {
 // the signal did not arrive (the mutex is still re-acquired and held when
 // WaitTimeoutT returns ErrTimeout, matching pthread_cond_timedwait).
 func (c *Cond) WaitTimeoutT(t *Thread, d time.Duration) error {
-	return c.waitT(t, d, nil)
+	var s Site
+	s.Walk(s.BoundComplete(c.L))
+	return c.waitT(t, d, nil, &s)
 }
 
 // WaitCtxT is WaitT bounded by ctx during the wait for the signal: when
@@ -57,24 +66,53 @@ func (c *Cond) WaitTimeoutT(t *Thread, d time.Duration) error {
 // and is interrupted only by deadlock recovery, whose error is returned
 // with the mutex NOT held.
 func (c *Cond) WaitCtxT(t *Thread, ctx context.Context) error {
+	var s Site
+	s.Walk(s.BoundComplete(c.L))
+	return c.waitCtx(t, ctx, &s)
+}
+
+// WaitCtx is WaitCtxT for the calling goroutine.
+func (c *Cond) WaitCtx(ctx context.Context) error {
+	var s Site
+	s.Walk(s.BoundComplete(c.L))
+	return CondWaitCtx(c, &s, ctx)
+}
+
+// Wait is WaitT for the calling goroutine.
+func (c *Cond) Wait() error {
+	var s Site
+	s.Walk(s.BoundComplete(c.L))
+	return CondWait(c, &s)
+}
+
+// CondWait and CondWaitCtx are Wait and WaitCtx for an entry point that
+// walked its own caller's call site into s: the methods above, and the
+// drop-in facade's.
+func CondWait(c *Cond, s *Site) error {
+	t := c.L.rt.currentPinned()
+	defer t.unpin()
+	return c.waitT(t, 0, nil, s)
+}
+
+func CondWaitCtx(c *Cond, s *Site, ctx context.Context) error {
+	t := c.L.rt.currentPinned()
+	defer t.unpin()
+	return c.waitCtx(t, ctx, s)
+}
+
+func (c *Cond) waitCtx(t *Thread, ctx context.Context, s *Site) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	err := c.waitT(t, 0, ctx.Done())
+	err := c.waitT(t, 0, ctx.Done(), s)
 	if errors.Is(err, errCtxDone) {
 		return ctx.Err()
 	}
 	return err
 }
 
-// WaitCtx is WaitCtxT for the calling goroutine.
-func (c *Cond) WaitCtx(ctx context.Context) error {
-	t := c.L.rt.currentPinned()
-	defer t.unpin()
-	return c.WaitCtxT(t, ctx)
-}
-
-func (c *Cond) waitT(t *Thread, timeout time.Duration, done <-chan struct{}) error {
+// waitT parks t and re-acquires c.L for the call site s walked.
+func (c *Cond) waitT(t *Thread, timeout time.Duration, done <-chan struct{}, s *Site) error {
 	t.pin() // the pruner must not retire t between the release and re-acquire
 	defer t.unpin()
 	if c.L.owner.Load() != t {
@@ -110,13 +148,13 @@ func (c *Cond) waitT(t *Thread, timeout time.Duration, done <-chan struct{}) err
 		c.abandonWait(ch)
 		// Re-acquire so the caller's unlock discipline stays intact,
 		// then surface the recovery.
-		if err := c.L.LockT(t); err != nil {
+		if err := c.L.rt.acquire(t, c.L, c.L.ls, s, lockReq{}); err != nil {
 			return err
 		}
 		return ErrDeadlockRecovered
 	}
 
-	if err := c.L.LockT(t); err != nil {
+	if err := c.L.rt.acquire(t, c.L, c.L.ls, s, lockReq{}); err != nil {
 		return err
 	}
 	if timedOut {
@@ -126,13 +164,6 @@ func (c *Cond) waitT(t *Thread, timeout time.Duration, done <-chan struct{}) err
 		return errCtxDone
 	}
 	return nil
-}
-
-// Wait is WaitT for the calling goroutine.
-func (c *Cond) Wait() error {
-	t := c.L.rt.currentPinned()
-	defer t.unpin()
-	return c.WaitT(t)
 }
 
 // removeWaiter drops ch from the wait list if still present.

@@ -87,11 +87,15 @@ func (m *Mutex) ID() uint64 { return m.ls.ID }
 // Kind returns the mutex kind.
 func (m *Mutex) Kind() MutexKind { return m.kind }
 
+// Every acquisition method below is an entry point: it walks its
+// caller's call site in its own body (Site) and hands the walk down, so
+// the pipeline never unwinds Dimmunix's frames on the steady-state path.
+
 // Lock acquires the mutex on behalf of the calling goroutine.
 func (m *Mutex) Lock() error {
-	t := m.rt.currentPinned()
-	defer t.unpin()
-	return m.LockT(t)
+	var s Site
+	s.Walk(s.Bound(m))
+	return MutexLock(m, &s)
 }
 
 // Unlock releases the mutex on behalf of the calling goroutine.
@@ -103,22 +107,24 @@ func (m *Mutex) Unlock() error {
 
 // TryLock attempts the lock without blocking.
 func (m *Mutex) TryLock() (bool, error) {
-	t := m.rt.currentPinned()
-	defer t.unpin()
-	return m.TryLockT(t)
+	var s Site
+	s.Walk(s.Bound(m))
+	return MutexTryLock(m, &s)
 }
 
 // LockTimeout acquires the mutex, failing with ErrTimeout after d.
 func (m *Mutex) LockTimeout(d time.Duration) error {
-	t := m.rt.currentPinned()
-	defer t.unpin()
-	return m.LockTimeoutT(t, d)
+	var s Site
+	s.Walk(s.Bound(m))
+	return MutexLockTimeout(m, &s, d)
 }
 
 // MustLock is Lock that panics on error, for code that uses Normal or
 // Recursive mutexes without recovery hooks.
 func (m *Mutex) MustLock() {
-	if err := m.Lock(); err != nil {
+	var s Site
+	s.Walk(s.Bound(m))
+	if err := MutexLock(m, &s); err != nil {
 		panic(err)
 	}
 }
@@ -133,19 +139,25 @@ func (m *Mutex) MustUnlock() {
 // LockT acquires the mutex on behalf of t, running the full §5.4
 // avoidance protocol: request -> (yield)* -> go -> block -> acquired.
 func (m *Mutex) LockT(t *Thread) error {
-	return m.rt.acquire(t, m, m.ls, lockReq{})
+	var s Site
+	s.Walk(s.Bound(m))
+	return m.rt.acquire(t, m, m.ls, &s, lockReq{})
 }
 
 // TryLockT attempts the lock without blocking. A YIELD decision counts as
 // failure (the thread may not enter the dangerous pattern), mirroring
 // pthread_mutex_trylock + the §6 cancel event.
 func (m *Mutex) TryLockT(t *Thread) (bool, error) {
-	return tryResult(m.rt.acquire(t, m, m.ls, lockReq{try: true}))
+	var s Site
+	s.Walk(s.Bound(m))
+	return tryResult(m.rt.acquire(t, m, m.ls, &s, lockReq{try: true}))
 }
 
 // LockTimeoutT acquires with a deadline, like pthread_mutex_timedlock.
 func (m *Mutex) LockTimeoutT(t *Thread, d time.Duration) error {
-	return m.rt.acquire(t, m, m.ls, lockReq{timeout: expiring(d)})
+	var s Site
+	s.Walk(s.Bound(m))
+	return m.rt.acquire(t, m, m.ls, &s, lockReq{timeout: expiring(d)})
 }
 
 // LockCtx acquires the mutex on behalf of the calling goroutine, giving
@@ -153,9 +165,9 @@ func (m *Mutex) LockTimeoutT(t *Thread, d time.Duration) error {
 // ctx.Err()). A context cancellation rolls the request back with the same
 // §6 cancel event as a timeout.
 func (m *Mutex) LockCtx(ctx context.Context) error {
-	t := m.rt.currentPinned()
-	defer t.unpin()
-	return m.LockCtxT(t, ctx)
+	var s Site
+	s.Walk(s.Bound(m))
+	return MutexLockCtx(m, &s, ctx)
 }
 
 // LockCtxT is LockCtx on behalf of an explicit thread handle.
@@ -163,7 +175,38 @@ func (m *Mutex) LockCtxT(t *Thread, ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return ctxErr(ctx, m.rt.acquire(t, m, m.ls, lockReq{done: ctx.Done()}))
+	var s Site
+	s.Walk(s.Bound(m))
+	return ctxErr(ctx, m.rt.acquire(t, m, m.ls, &s, lockReq{done: ctx.Done()}))
+}
+
+// implicit runs one acquisition on behalf of the calling goroutine.
+func (m *Mutex) implicit(s *Site, req lockReq) error {
+	t := m.rt.currentPinned()
+	defer t.unpin()
+	return m.rt.acquire(t, m, m.ls, s, req)
+}
+
+func (m *Mutex) runtime() *Runtime { return m.rt }
+
+// MutexLock, MutexTryLock, MutexLockCtx and MutexLockTimeout are Lock,
+// TryLock, LockCtx and LockTimeout for an entry point that walked its own
+// caller's call site into s: the methods above, and the drop-in facade's.
+func MutexLock(m *Mutex, s *Site) error { return m.implicit(s, lockReq{}) }
+
+func MutexTryLock(m *Mutex, s *Site) (bool, error) {
+	return tryResult(m.implicit(s, lockReq{try: true}))
+}
+
+func MutexLockCtx(m *Mutex, s *Site, ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return ctxErr(ctx, m.implicit(s, lockReq{done: ctx.Done()}))
+}
+
+func MutexLockTimeout(m *Mutex, s *Site, d time.Duration) error {
+	return m.implicit(s, lockReq{timeout: expiring(d)})
 }
 
 // Retire marks the mutex as superseded, succeeding only if it can

@@ -55,9 +55,11 @@ type Runtime struct {
 	trace    *trace.Recorder // nil unless Config.TracePath armed trace mode
 
 	// wrapDepth is the deepest ladder of Dimmunix's own frames observed
-	// between an application lock call site and the capture (see
-	// Thread.internPCs, which folds every stack it resolves into it). The
-	// capture bounds are derived from it instead of a guessed slack.
+	// between an application lock call site and a capture taken from
+	// inside the lock path (see Thread.internPCs, which folds every stack
+	// it resolves into it). That capture's bound (fullBound) is derived
+	// from it instead of a guessed slack; an entry point's walk skips
+	// exactly its own frame and needs no such allowance.
 	wrapDepth atomic.Int32
 
 	// bus is the observability dispatcher (typed events, bounded,
@@ -73,7 +75,10 @@ type Runtime struct {
 	// StatsSnapshot.Latency). Guarded acquisitions and yield episodes
 	// record every observation — they are already slow paths — while the
 	// fast tier records a 1-in-64 per-thread sample so the steady-state
-	// path never pays two timestamp reads per operation.
+	// path never pays two timestamp reads per operation. A sample starts
+	// inside acquire: it covers classification, tiering and the raw
+	// grant, not the entry point's walk of the call site, which runs
+	// before acquire.
 	latFast    obs.Histogram
 	latGuarded obs.Histogram
 	latYield   obs.Histogram
@@ -626,7 +631,7 @@ func (rt *Runtime) DisableLastAvoided() bool {
 
 // CapturedStacks returns every distinct call stack recorded at lock
 // operations so far: exact ones, except that safe call paths alike in the
-// innermost frames a verdict depends on (see Thread.captureClassified)
+// innermost frames a verdict depends on (see Thread.classify)
 // are recorded as the first of them seen. The §7.2.1 methodology
 // synthesizes histories from "random combinations of real program stacks
 // with which the target system performs synchronization"; this is that

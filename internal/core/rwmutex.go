@@ -76,11 +76,14 @@ func (rt *Runtime) NewRWMutex() *RWMutex {
 // ID returns the mutex's Dimmunix lock ID.
 func (rw *RWMutex) ID() uint64 { return rw.ls.ID }
 
+// Every acquisition method below is an entry point that walks its
+// caller's call site in its own body, as with Mutex.
+
 // Lock write-locks on behalf of the calling goroutine.
 func (rw *RWMutex) Lock() error {
-	t := rw.rt.currentPinned()
-	defer t.unpin()
-	return rw.LockT(t)
+	var s Site
+	s.Walk(s.Bound(rw))
+	return RWLock(rw, &s)
 }
 
 // Unlock write-unlocks on behalf of the calling goroutine.
@@ -92,9 +95,9 @@ func (rw *RWMutex) Unlock() error {
 
 // RLock read-locks on behalf of the calling goroutine.
 func (rw *RWMutex) RLock() error {
-	t := rw.rt.currentPinned()
-	defer t.unpin()
-	return rw.RLockT(t)
+	var s Site
+	s.Walk(s.Bound(rw))
+	return RWRLock(rw, &s)
 }
 
 // RUnlock read-unlocks on behalf of the calling goroutine — with the
@@ -109,76 +112,88 @@ func (rw *RWMutex) RUnlock() error {
 
 // TryLock attempts the write lock without blocking.
 func (rw *RWMutex) TryLock() (bool, error) {
-	t := rw.rt.currentPinned()
-	defer t.unpin()
-	return rw.TryLockT(t)
+	var s Site
+	s.Walk(s.Bound(rw))
+	return RWTryLock(rw, &s)
 }
 
 // TryRLock attempts a read lock without blocking.
 func (rw *RWMutex) TryRLock() (bool, error) {
-	t := rw.rt.currentPinned()
-	defer t.unpin()
-	return rw.TryRLockT(t)
+	var s Site
+	s.Walk(s.Bound(rw))
+	return RWTryRLock(rw, &s)
 }
 
 // LockTimeout write-locks, failing with ErrTimeout after d.
 func (rw *RWMutex) LockTimeout(d time.Duration) error {
-	t := rw.rt.currentPinned()
-	defer t.unpin()
-	return rw.LockTimeoutT(t, d)
+	var s Site
+	s.Walk(s.Bound(rw))
+	return RWLockTimeout(rw, &s, d)
 }
 
 // RLockTimeout read-locks, failing with ErrTimeout after d.
 func (rw *RWMutex) RLockTimeout(d time.Duration) error {
-	t := rw.rt.currentPinned()
-	defer t.unpin()
-	return rw.RLockTimeoutT(t, d)
+	var s Site
+	s.Walk(s.Bound(rw))
+	return RWRLockTimeout(rw, &s, d)
 }
 
 // LockCtx write-locks, giving up when ctx fires (error is then ctx.Err()).
 func (rw *RWMutex) LockCtx(ctx context.Context) error {
-	t := rw.rt.currentPinned()
-	defer t.unpin()
-	return rw.LockCtxT(t, ctx)
+	var s Site
+	s.Walk(s.Bound(rw))
+	return RWLockCtx(rw, &s, ctx)
 }
 
 // RLockCtx read-locks, giving up when ctx fires (error is then ctx.Err()).
 func (rw *RWMutex) RLockCtx(ctx context.Context) error {
-	t := rw.rt.currentPinned()
-	defer t.unpin()
-	return rw.RLockCtxT(t, ctx)
+	var s Site
+	s.Walk(s.Bound(rw))
+	return RWRLockCtx(rw, &s, ctx)
 }
 
 // LockT write-locks on behalf of t, running the full avoidance protocol.
 func (rw *RWMutex) LockT(t *Thread) error {
-	return rw.rt.acquire(t, rw, rw.ls, lockReq{})
+	var s Site
+	s.Walk(s.Bound(rw))
+	return rw.rt.acquire(t, rw, rw.ls, &s, lockReq{})
 }
 
 // RLockT read-locks on behalf of t. The request participates in the
 // avoidance protocol; the resulting hold is shared.
 func (rw *RWMutex) RLockT(t *Thread) error {
-	return rw.rt.acquire(t, rw, rw.ls, lockReq{shared: true})
+	var s Site
+	s.Walk(s.Bound(rw))
+	return rw.rt.acquire(t, rw, rw.ls, &s, lockReq{shared: true})
 }
 
 // TryLockT attempts the write lock without blocking; a YIELD decision
 // counts as failure, as with Mutex.TryLockT.
 func (rw *RWMutex) TryLockT(t *Thread) (bool, error) {
-	return tryResult(rw.rt.acquire(t, rw, rw.ls, lockReq{try: true}))
+	var s Site
+	s.Walk(s.Bound(rw))
+	return tryResult(rw.rt.acquire(t, rw, rw.ls, &s, lockReq{try: true}))
 }
 
 // TryRLockT attempts a read lock without blocking.
 func (rw *RWMutex) TryRLockT(t *Thread) (bool, error) {
-	return tryResult(rw.rt.acquire(t, rw, rw.ls, lockReq{shared: true, try: true}))
+	var s Site
+	s.Walk(s.Bound(rw))
+	return tryResult(rw.rt.acquire(t, rw, rw.ls, &s, lockReq{shared: true, try: true}))
 }
 
 // LockTimeoutT write-locks with a deadline.
 func (rw *RWMutex) LockTimeoutT(t *Thread, d time.Duration) error {
-	return rw.rt.acquire(t, rw, rw.ls, lockReq{timeout: expiring(d)})
+	var s Site
+	s.Walk(s.Bound(rw))
+	return rw.rt.acquire(t, rw, rw.ls, &s, lockReq{timeout: expiring(d)})
 }
 
 // RLockTimeoutT read-locks with a deadline.
 func (rw *RWMutex) RLockTimeoutT(t *Thread, d time.Duration) error {
-	return rw.rt.acquire(t, rw, rw.ls, lockReq{shared: true, timeout: expiring(d)})
+	var s Site
+	s.Walk(s.Bound(rw))
+	return rw.rt.acquire(t, rw, rw.ls, &s, lockReq{shared: true, timeout: expiring(d)})
 }
 
 // LockCtxT is LockCtx on behalf of an explicit thread handle.
@@ -186,7 +201,9 @@ func (rw *RWMutex) LockCtxT(t *Thread, ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return ctxErr(ctx, rw.rt.acquire(t, rw, rw.ls, lockReq{done: ctx.Done()}))
+	var s Site
+	s.Walk(s.Bound(rw))
+	return ctxErr(ctx, rw.rt.acquire(t, rw, rw.ls, &s, lockReq{done: ctx.Done()}))
 }
 
 // RLockCtxT is RLockCtx on behalf of an explicit thread handle.
@@ -194,7 +211,57 @@ func (rw *RWMutex) RLockCtxT(t *Thread, ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return ctxErr(ctx, rw.rt.acquire(t, rw, rw.ls, lockReq{shared: true, done: ctx.Done()}))
+	var s Site
+	s.Walk(s.Bound(rw))
+	return ctxErr(ctx, rw.rt.acquire(t, rw, rw.ls, &s, lockReq{shared: true, done: ctx.Done()}))
+}
+
+// implicit runs one acquisition on behalf of the calling goroutine.
+func (rw *RWMutex) implicit(s *Site, req lockReq) error {
+	t := rw.rt.currentPinned()
+	defer t.unpin()
+	return rw.rt.acquire(t, rw, rw.ls, s, req)
+}
+
+func (rw *RWMutex) runtime() *Runtime { return rw.rt }
+
+// RWLock, RWRLock, RWTryLock, RWTryRLock, RWLockCtx, RWRLockCtx,
+// RWLockTimeout and RWRLockTimeout are the implicit-identity methods of
+// the same names for an entry point that walked its own caller's call
+// site into s: the methods above, and the drop-in facade's.
+func RWLock(rw *RWMutex, s *Site) error { return rw.implicit(s, lockReq{}) }
+
+func RWRLock(rw *RWMutex, s *Site) error { return rw.implicit(s, lockReq{shared: true}) }
+
+func RWTryLock(rw *RWMutex, s *Site) (bool, error) {
+	return tryResult(rw.implicit(s, lockReq{try: true}))
+}
+
+func RWTryRLock(rw *RWMutex, s *Site) (bool, error) {
+	return tryResult(rw.implicit(s, lockReq{shared: true, try: true}))
+}
+
+func RWLockCtx(rw *RWMutex, s *Site, ctx context.Context) error {
+	return rwCtx(rw, ctx, s, lockReq{done: ctx.Done()})
+}
+
+func RWRLockCtx(rw *RWMutex, s *Site, ctx context.Context) error {
+	return rwCtx(rw, ctx, s, lockReq{shared: true, done: ctx.Done()})
+}
+
+func rwCtx(rw *RWMutex, ctx context.Context, s *Site, req lockReq) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return ctxErr(ctx, rw.implicit(s, req))
+}
+
+func RWLockTimeout(rw *RWMutex, s *Site, d time.Duration) error {
+	return rw.implicit(s, lockReq{timeout: expiring(d)})
+}
+
+func RWRLockTimeout(rw *RWMutex, s *Site, d time.Duration) error {
+	return rw.implicit(s, lockReq{shared: true, timeout: expiring(d)})
 }
 
 // reenter implements rawLock. Recursive read acquisition never blocks

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,6 +43,8 @@ func (t *Thread) pin() { t.pins.Add(1) }
 
 // unpin releases a pin taken by pin or Runtime.currentPinned.
 func (t *Thread) unpin() { t.pins.Add(-1) }
+
+func (t *Thread) runtime() *Runtime { return t.rt }
 
 // ID returns the thread's Dimmunix ID.
 func (t *Thread) ID() int32 { return t.ts.ID }
@@ -96,15 +99,110 @@ func (t *Thread) consumeAbort() {
 	t.abortMu.Unlock()
 }
 
-// fullBound is the raw-PC bound of a full capture: captureDepth
-// application frames below wrap Dimmunix frames.
+// fullBound is the raw-PC bound of a capture taken from inside the lock
+// path: captureDepth application frames below wrap Dimmunix frames.
 func (rt *Runtime) fullBound(wrap int) int {
 	return min(rt.cfg.captureDepth+wrap, stack.MaxCaptureDepth)
 }
 
+// Site is an acquisition entry point's capture of its caller's call site:
+// the raw return PCs of the application's frames, walked in the entry
+// point's own body, and the danger view that bounded the walk. Every
+// public acquisition entry point fills one before it calls into the
+// pipeline (Runtime.acquire), so the steady-state walk covers only the
+// application's frames — none of Dimmunix's own, which runtime.Callers
+// would unwind at full price even when skipped:
+//
+//	var s Site
+//	s.Walk(s.Bound(m))
+//
+// acquire classifies the PCs (Thread.classify) and never walks on the
+// steady-state path. A Site bounded by another runtime's view is not
+// classified: acquire then captures from inside.
+type Site struct {
+	rt    *Runtime // whose view bounded the walk
+	epoch uint64   // danger-index epoch of a depth-bounded walk; 0: complete
+	bound int      // walk bound in application frames; 0: nothing walks
+	n     int      // PCs recorded
+	pcs   [stack.MaxCaptureDepth]uintptr
+}
+
+// siteOwner is a lock an entry point bounds its walk for.
+type siteOwner interface{ runtime() *Runtime }
+
+// Bound reads the danger view of l's runtime — epoch and shallow depth
+// from one DangerView load — and returns the buffer to walk, as long as
+// the view allows:
+//
+//   - ModeOff: empty, nothing walks;
+//   - fast tier off, or only a full walk sound (ShallowDepth 0): a
+//     complete capture of captureDepth frames;
+//   - otherwise max(ShallowDepth, MatchDepth) frames, so a newly archived
+//     signature's matching window stays covered by the key.
+//
+// The walk's skip is exact, so neither bound allows for Dimmunix frames.
+func (s *Site) Bound(l siteOwner) []uintptr {
+	rt := l.runtime()
+	s.rt, s.epoch, s.n = rt, 0, 0
+	switch {
+	case rt.cfg.Mode == ModeOff:
+		s.bound = 0
+	case !rt.cache.FastOK():
+		s.bound = rt.cfg.captureDepth
+	default:
+		ep, shallow := rt.cache.DangerView()
+		s.bound = rt.cfg.captureDepth
+		if shallow > 0 && max(shallow, rt.cfg.MatchDepth) < s.bound {
+			s.epoch, s.bound = ep, max(shallow, rt.cfg.MatchDepth)
+		}
+	}
+	return s.pcs[:s.bound]
+}
+
+// BoundComplete is Bound for a capture that outlives a wait (Cond
+// re-acquisition): a complete capture, whose PCs stay valid under any
+// epoch, never a depth-bounded key read against a view the wait may have
+// made stale.
+func (s *Site) BoundComplete(l siteOwner) []uintptr {
+	rt := l.runtime()
+	s.rt, s.epoch, s.n = rt, 0, 0
+	s.bound = 0
+	if rt.cfg.Mode != ModeOff {
+		s.bound = rt.cfg.captureDepth
+	}
+	return s.pcs[:s.bound]
+}
+
+// Walk records into buf (s's own, from Bound) the raw PCs of the caller
+// of the function it is called from, and outward: s.Walk(s.Bound(l)) in
+// an entry point's body starts at the application's frame. It must run
+// in the entry point's own body and inline there, since every frame it
+// added would be unwound too; that is why it calls runtime.Callers
+// directly rather than through stack.CapturePCs, which would take it
+// over the inlining budget. An empty buf walks nothing.
+func (s *Site) Walk(buf []uintptr) {
+	// Skips runtime.Callers, Walk and the entry point.
+	s.n = runtime.Callers(3, buf)
+}
+
+// siteHook, when set, observes the PCs every acquisition is handed (see
+// ObserveSites).
+var siteHook atomic.Pointer[func([]uintptr)]
+
+// ObserveSites makes every acquisition call fn with a copy of the PCs
+// its entry point walked (empty when nothing walked), until restore
+// runs. It exists to test that entry points hand down the application's
+// own frames.
+func ObserveSites(fn func(pcs []uintptr)) (restore func()) {
+	siteHook.Store(&fn)
+	return func() { siteHook.Store(nil) }
+}
+
 // captureStack records the caller's call stack with Dimmunix's own frames
 // stripped, so the innermost frame is the application's lock call site —
-// the Go analog of the paper's return-address stacks.
+// the Go analog of the paper's return-address stacks. It is the capture
+// from inside the lock path, for the acquisitions whose entry-point walk
+// cannot serve (Thread.classify).
 //
 // The symbolization/strip/intern pipeline is memoized by raw PC stack
 // (Runtime.pcCache): after the first occurrence of a call path, a capture
@@ -137,6 +235,7 @@ func (t *Thread) captureStack(extraSkip int) *stack.Interned {
 // return. When the walk filled a bound that left the application fewer
 // than captureDepth frames, outer frames may have been cut off: internPCs
 // then returns nil and the caller captures again under the raised bound.
+// An entry point's complete walk has no Dimmunix frame to strip.
 func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 	rt := t.rt
 	if in, ok := rt.pcCache.Get(pcs); ok {
@@ -168,79 +267,79 @@ func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 	return in
 }
 
-// captureClassified is captureStack fused with the fast-tier gate: it
-// returns the caller's interned stack and whether the stack is provably
-// safe (so the caller may take the lock-free fast tier).
+// classify maps an entry point's walk to the caller's interned stack and
+// whether the stack is provably safe (so the caller may take the
+// lock-free fast tier). It never walks on the steady-state path.
 //
-// Steady state is a depth-bounded capture: the danger index publishes
-// (with its epoch) the minimum number of innermost frames that yields
-// the same Dangerous verdict as a full walk (DangerIndex.ShallowDepth),
-// and the hot path walks only that many application frames — or
-// MatchDepth, if larger, so a newly archived signature's matching window
-// stays covered by the key — below the wrapper ladder, instead of the
-// full captureDepth. A published ShallowDepth of 0 (calibration-live or
-// depth<=0 signatures) means only the full walk is sound.
-//
-// Either way the raw PCs are looked up once in the runtime-wide call-site
-// table (Runtime.pcCache) and the verdict is the epoch marker on the
-// interned stack found there (Cache.ClassifySafe) — for every thread
-// alike. A walk that ended inside its bound is a complete capture: the
-// table's stack is exact and valid forever. A walk that filled a shallow
-// bound yields a depth-bounded key, whose table entry is a representative
-// of the call paths sharing those frames: same verdict (it depends only
-// on frames the key covers), possibly different outer frames. Two rules
-// keep that sound:
+// A walk that ended inside its bound is a complete capture: the
+// call-site table (Runtime.pcCache) maps it to the exact stack, valid
+// forever. A walk that filled a shallow bound is a depth-bounded key,
+// whose table entry is a representative of the call paths sharing those
+// frames: same verdict (it depends only on frames the key covers),
+// possibly different outer frames. Either way the verdict is the epoch
+// marker on the interned stack found there (Cache.ClassifySafe), for
+// every thread alike. Three rules keep bounded keys sound:
 //
 //   - a bounded key never feeds the guarded tier, whose §5.4 matching
 //     and archival need the exact deep frames: a miss or a dangerous
-//     verdict recaptures the full stack;
+//     verdict recaptures the full stack from inside (captureStack);
 //   - an epoch move invalidates a bounded key (the new index may need
 //     deeper frames than it covers): the entry answers only at the epoch
-//     it was recorded at, and the recapture replaces it in place.
+//     of the view that bounded the walk, and the recapture replaces it
+//     in place;
+//   - a key is stored only if its innermost frame is the recaptured
+//     stack's — the application's call site — so it covers as many
+//     application frames as the verdict reads. Checked on the miss, never
+//     on a hit.
 //
-// The epoch and shallow depth are read from one index load before the
-// lookup, so a concurrent index publish at worst leaves an entry stamped
-// with the older epoch — forcing a recapture on the next call, never
-// masking a newer index (stale fast holds are reconciled by the
-// avoidance layer on the next guarded decision).
+// The epoch and bound come from one index load before the walk, so a
+// concurrent index publish at worst leaves an entry stamped with the
+// older epoch — forcing a recapture on the next call, never masking a
+// newer index (stale fast holds are reconciled by the avoidance layer on
+// the next guarded decision). PCs are never classified under another
+// runtime's view (a retry after ErrMutexRetired rebinds to a fresh
+// runtime): such a Site, or the zero Site, is recaptured from here.
 //
 // When the fast tier is off (mode, IgnoreDecisions, DisableFastPath) the
-// verdict is always "not safe" and this devolves to captureStack.
-func (t *Thread) captureClassified(extraSkip int) (*stack.Interned, bool) {
+// verdict is always "not safe".
+func (t *Thread) classify(s *Site) (*stack.Interned, bool) {
 	rt, cache := t.rt, t.rt.cache
-	if !cache.FastOK() {
-		return t.captureStack(extraSkip + 1), false
+	if s.rt != rt {
+		return t.captureClassified(1)
 	}
-	ep, shallow := cache.DangerView()
-	wrap := rt.wrapDepth.Load()
-	full := rt.fullBound(int(wrap))
-	bound := full
-	if shallow > 0 {
-		bound = min(max(shallow, rt.cfg.MatchDepth)+int(wrap), full)
-	}
-	var pcbuf [stack.MaxCaptureDepth + 2]uintptr
-	pcs := pcbuf[:stack.CapturePCs(extraSkip+1, pcbuf[:bound])]
-	bounded := len(pcs) == bound && bound < full
-	if !bounded {
-		if in := t.internPCs(pcs, full); in != nil {
-			return in, cache.ClassifySafe(in)
+	pcs := s.pcs[:s.n]
+	if s.epoch == 0 || len(pcs) < s.bound {
+		in := t.internPCs(pcs, rt.cfg.captureDepth)
+		if in == nil {
+			// The walk started inside Dimmunix and the bound cut the
+			// application short: recapture.
+			in = t.captureStack(1)
 		}
-		// A full walk cut short by a stale bound: captureStack retries.
-	} else if in, ok := rt.pcCache.GetAt(pcs, ep); ok {
+		return in, cache.FastOK() && cache.ClassifySafe(in)
+	}
+	if in, ok := rt.pcCache.GetAt(pcs, s.epoch); ok {
 		if cache.ClassifySafe(in) {
 			return in, true
 		}
-		return t.captureStack(extraSkip + 1), false
+		return t.captureStack(1), false
 	}
-	in := t.captureStack(extraSkip + 1)
-	// in's own wrapper depth is folded into wrapDepth by now. Unchanged
-	// means the bound allowed for it, so the key covers every application
-	// frame the verdict depends on; otherwise the next call recaptures
-	// under the deeper bound.
-	if bounded && rt.wrapDepth.Load() == wrap {
-		rt.pcCache.PutAt(pcs, in, ep)
+	in := t.captureStack(1)
+	if f := stack.ResolvePCs(pcs[:1], 1); len(f) == 1 && len(in.S) > 0 && f[0] == in.S[0] {
+		rt.pcCache.PutAt(pcs, in, s.epoch)
 	}
 	return in, cache.ClassifySafe(in)
+}
+
+// captureClassified walks and classifies the caller's call site from
+// wherever it is called, extraSkip frames further out, under t's runtime's
+// view. Entry points walk in their own body instead; this is the capture
+// for an acquisition whose entry walk t's runtime cannot classify. Its
+// skip is not exact, which classify keeps sound: a key whose innermost
+// frame is Dimmunix's is never stored, and a complete walk is stripped.
+func (t *Thread) captureClassified(extraSkip int) (*stack.Interned, bool) {
+	var s Site
+	s.n = stack.CapturePCs(extraSkip+1, s.Bound(t))
+	return t.classify(&s)
 }
 
 // isRuntimeFrame identifies Dimmunix's own frames: every function of this

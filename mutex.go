@@ -96,21 +96,27 @@ func (b *binder[L]) core(newLock func(*Runtime) L) L {
 	}
 }
 
-// do runs op on the bound lock until it stops failing with
+// do runs op on c, the lock bound when the entry point walked its call
+// site, and on the freshly bound lock until op stops failing with
 // ErrMutexRetired: the binding was superseded mid-operation by a
 // Shutdown→Init rebind, and the next attempt re-resolves the fresh
 // instance via core. Shared by every facade acquisition method.
 //
-// The methods that hand do a closure are marked noinline: a closure of a
-// function inlined into application code is compiled under the
-// application function's name, which call-site stripping
-// (core.isRuntimeFrame) could not tell from the application.
-func (b *binder[L]) do(newLock func(*Runtime) L, op func(L) error) error {
+// Every acquisition method walks its caller's call site in its own body
+// (core.Site) before do, and hands do a closure. A retry runs under the
+// fresh runtime, which does not classify a walk bounded by another
+// runtime's view and captures from inside instead; the methods are marked
+// noinline so that capture can strip the closure: a closure of a function
+// inlined into application code is compiled under the application
+// function's name, which call-site stripping (core.isRuntimeFrame) could
+// not tell from the application.
+func (b *binder[L]) do(c L, newLock func(*Runtime) L, op func(L) error) error {
 	for {
-		err := op(b.core(newLock))
+		err := op(c)
 		if !errors.Is(err, core.ErrMutexRetired) {
 			return err
 		}
+		c = b.core(newLock)
 	}
 }
 
@@ -132,8 +138,13 @@ func must(err error) {
 // abort unwinds this thread's wait; the panic value is the error itself,
 // so a supervisor can recover() and test errors.Is(v.(error),
 // ErrDeadlockRecovered) to treat it as the in-process restart.
+//
+//go:noinline
 func (m *Mutex) Lock() {
-	must(m.b.do((*Runtime).NewMutex, (*core.Mutex).Lock))
+	var s core.Site
+	c := m.b.core((*Runtime).NewMutex)
+	s.Walk(s.Bound(c))
+	must(m.b.do(c, (*Runtime).NewMutex, func(c *core.Mutex) error { return core.MutexLock(c, &s) }))
 }
 
 // Unlock releases the mutex. It panics if the mutex is not locked,
@@ -158,8 +169,11 @@ func (m *Mutex) Unlock() {
 //
 //go:noinline
 func (m *Mutex) TryLock() (ok bool) {
-	must(m.b.do((*Runtime).NewMutex, func(c *core.Mutex) (err error) {
-		ok, err = c.TryLock()
+	var s core.Site
+	c := m.b.core((*Runtime).NewMutex)
+	s.Walk(s.Bound(c))
+	must(m.b.do(c, (*Runtime).NewMutex, func(c *core.Mutex) (err error) {
+		ok, err = core.MutexTryLock(c, &s)
 		return err
 	}))
 	return ok
@@ -171,12 +185,18 @@ func (m *Mutex) TryLock() (ok bool) {
 //
 //go:noinline
 func (m *Mutex) LockCtx(ctx context.Context) error {
-	return m.b.do((*Runtime).NewMutex, func(c *core.Mutex) error { return c.LockCtx(ctx) })
+	var s core.Site
+	c := m.b.core((*Runtime).NewMutex)
+	s.Walk(s.Bound(c))
+	return m.b.do(c, (*Runtime).NewMutex, func(c *core.Mutex) error { return core.MutexLockCtx(c, &s, ctx) })
 }
 
 // LockTimeout acquires the mutex, failing with ErrTimeout after d.
 //
 //go:noinline
 func (m *Mutex) LockTimeout(d time.Duration) error {
-	return m.b.do((*Runtime).NewMutex, func(c *core.Mutex) error { return c.LockTimeout(d) })
+	var s core.Site
+	c := m.b.core((*Runtime).NewMutex)
+	s.Walk(s.Bound(c))
+	return m.b.do(c, (*Runtime).NewMutex, func(c *core.Mutex) error { return core.MutexLockTimeout(c, &s, d) })
 }

@@ -35,8 +35,13 @@ func (rw *RWMutex) Core() *CoreRWMutex { return rw.b.core((*Runtime).NewRWMutex)
 // if a deadlock-recovery abort unwinds this thread's wait; the panic
 // value is the error itself, so a supervisor can recover() and test
 // errors.Is(v.(error), ErrDeadlockRecovered).
+//
+//go:noinline
 func (rw *RWMutex) Lock() {
-	must(rw.b.do((*Runtime).NewRWMutex, (*core.RWMutex).Lock))
+	var s core.Site
+	c := rw.b.core((*Runtime).NewRWMutex)
+	s.Walk(s.Bound(c))
+	must(rw.b.do(c, (*Runtime).NewRWMutex, func(c *core.RWMutex) error { return core.RWLock(c, &s) }))
 }
 
 // Unlock write-unlocks. It panics if the lock is not write-locked,
@@ -57,8 +62,18 @@ func (rw *RWMutex) Unlock() {
 
 // RLock read-locks. The acquisition participates in the avoidance
 // protocol; the hold is shared with other readers.
+//
+//go:noinline
 func (rw *RWMutex) RLock() {
-	must(rw.b.do((*Runtime).NewRWMutex, (*core.RWMutex).RLock))
+	var s core.Site
+	c := rw.b.core((*Runtime).NewRWMutex)
+	s.Walk(s.Bound(c))
+	rw.rlock(c, &s)
+}
+
+// rlock finishes a read-lock entry point that walked its call site into s.
+func (rw *RWMutex) rlock(c *core.RWMutex, s *core.Site) {
+	must(rw.b.do(c, (*Runtime).NewRWMutex, func(c *core.RWMutex) error { return core.RWRLock(c, s) }))
 }
 
 // RUnlock releases one read lock held by the calling goroutine. It
@@ -78,8 +93,11 @@ func (rw *RWMutex) RUnlock() {
 //
 //go:noinline
 func (rw *RWMutex) TryLock() (ok bool) {
-	must(rw.b.do((*Runtime).NewRWMutex, func(c *core.RWMutex) (err error) {
-		ok, err = c.TryLock()
+	var s core.Site
+	c := rw.b.core((*Runtime).NewRWMutex)
+	s.Walk(s.Bound(c))
+	must(rw.b.do(c, (*Runtime).NewRWMutex, func(c *core.RWMutex) (err error) {
+		ok, err = core.RWTryLock(c, &s)
 		return err
 	}))
 	return ok
@@ -89,8 +107,11 @@ func (rw *RWMutex) TryLock() (ok bool) {
 //
 //go:noinline
 func (rw *RWMutex) TryRLock() (ok bool) {
-	must(rw.b.do((*Runtime).NewRWMutex, func(c *core.RWMutex) (err error) {
-		ok, err = c.TryRLock()
+	var s core.Site
+	c := rw.b.core((*Runtime).NewRWMutex)
+	s.Walk(s.Bound(c))
+	must(rw.b.do(c, (*Runtime).NewRWMutex, func(c *core.RWMutex) (err error) {
+		ok, err = core.RWTryRLock(c, &s)
 		return err
 	}))
 	return ok
@@ -102,28 +123,40 @@ func (rw *RWMutex) TryRLock() (ok bool) {
 //
 //go:noinline
 func (rw *RWMutex) LockCtx(ctx context.Context) error {
-	return rw.b.do((*Runtime).NewRWMutex, func(c *core.RWMutex) error { return c.LockCtx(ctx) })
+	var s core.Site
+	c := rw.b.core((*Runtime).NewRWMutex)
+	s.Walk(s.Bound(c))
+	return rw.b.do(c, (*Runtime).NewRWMutex, func(c *core.RWMutex) error { return core.RWLockCtx(c, &s, ctx) })
 }
 
 // RLockCtx read-locks with the same cancellation behavior as LockCtx.
 //
 //go:noinline
 func (rw *RWMutex) RLockCtx(ctx context.Context) error {
-	return rw.b.do((*Runtime).NewRWMutex, func(c *core.RWMutex) error { return c.RLockCtx(ctx) })
+	var s core.Site
+	c := rw.b.core((*Runtime).NewRWMutex)
+	s.Walk(s.Bound(c))
+	return rw.b.do(c, (*Runtime).NewRWMutex, func(c *core.RWMutex) error { return core.RWRLockCtx(c, &s, ctx) })
 }
 
 // LockTimeout write-locks, failing with ErrTimeout after d.
 //
 //go:noinline
 func (rw *RWMutex) LockTimeout(d time.Duration) error {
-	return rw.b.do((*Runtime).NewRWMutex, func(c *core.RWMutex) error { return c.LockTimeout(d) })
+	var s core.Site
+	c := rw.b.core((*Runtime).NewRWMutex)
+	s.Walk(s.Bound(c))
+	return rw.b.do(c, (*Runtime).NewRWMutex, func(c *core.RWMutex) error { return core.RWLockTimeout(c, &s, d) })
 }
 
 // RLockTimeout read-locks, failing with ErrTimeout after d.
 //
 //go:noinline
 func (rw *RWMutex) RLockTimeout(d time.Duration) error {
-	return rw.b.do((*Runtime).NewRWMutex, func(c *core.RWMutex) error { return c.RLockTimeout(d) })
+	var s core.Site
+	c := rw.b.core((*Runtime).NewRWMutex)
+	s.Walk(s.Bound(c))
+	return rw.b.do(c, (*Runtime).NewRWMutex, func(c *core.RWMutex) error { return core.RWRLockTimeout(c, &s, d) })
 }
 
 // RLocker returns a sync.Locker whose Lock and Unlock call RLock and
@@ -132,5 +165,15 @@ func (rw *RWMutex) RLocker() sync.Locker { return (*rlocker)(rw) }
 
 type rlocker RWMutex
 
-func (r *rlocker) Lock()   { (*RWMutex)(r).RLock() }
+// Lock is RLock, walking its own caller's call site.
+//
+//go:noinline
+func (r *rlocker) Lock() {
+	rw := (*RWMutex)(r)
+	var s core.Site
+	c := rw.b.core((*Runtime).NewRWMutex)
+	s.Walk(s.Bound(c))
+	rw.rlock(c, &s)
+}
+
 func (r *rlocker) Unlock() { (*RWMutex)(r).RUnlock() }

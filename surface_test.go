@@ -254,8 +254,10 @@ func optionNames(t *testing.T) []string {
 	return namesIn(readSource(t, "options.go"), `(?m)^func (With[A-Za-z]+)\(`)
 }
 
-// TestPublicSurfaceDrift pins the configuration surface: the lab-only
-// knobs and the derived or fixed values stay off Config, and the README
+// TestPublicSurfaceDrift pins the configuration surface and the method
+// sets of the aliased core types: the lab-only knobs and the derived or
+// fixed values stay off Config, no exported method joins *CoreMutex,
+// *CoreRWMutex, *CoreCond, *Thread or *Runtime unannounced, and the README
 // Options table, the With* constructors in options.go, the DIMMUNIX_*
 // variables the code reads and default.go's env doc block all list the
 // same names.
@@ -267,6 +269,28 @@ func TestPublicSurfaceDrift(t *testing.T) {
 	} {
 		if _, ok := cfg.FieldByName(name); ok {
 			t.Errorf("Config.%s is back on the public surface", name)
+		}
+	}
+
+	// The aliased core types carry the explicit surface, and nothing
+	// else: the facade reaches core through package-level functions of
+	// internal/core, so that seam stays inside the module.
+	for _, c := range []struct {
+		typ  reflect.Type
+		want string
+	}{
+		{reflect.TypeOf((*dimmunix.CoreMutex)(nil)), "Holder ID Kind Lock LockCtx LockCtxT LockT LockTimeout LockTimeoutT MustLock MustUnlock Retire TryLock TryLockT Unlock UnlockHandoff UnlockT"},
+		{reflect.TypeOf((*dimmunix.CoreRWMutex)(nil)), "Holder ID Lock LockCtx LockCtxT LockT LockTimeout LockTimeoutT RLock RLockCtx RLockCtxT RLockT RLockTimeout RLockTimeoutT RUnlock RUnlockHandoff RUnlockT ReaderCount Retire TryLock TryLockT TryRLock TryRLockT Unlock UnlockHandoff UnlockT"},
+		{reflect.TypeOf((*dimmunix.CoreCond)(nil)), "Broadcast Signal Wait WaitCtx WaitCtxT WaitT WaitTimeoutT"},
+		{reflect.TypeOf((*dimmunix.Thread)(nil)), "Close ID Name Priority SetPriority"},
+		{reflect.TypeOf((*dimmunix.Runtime)(nil)), "AbortThreads CapturedStacks Config CurrentThread DisableLastAvoided History HistoryStore HistorySummary LastAvoided LiveThreadIDs Monitor MonitorCounters NewCond NewMutex NewMutexKind NewRWMutex NumThreads PruneIdleThreads RegisterThread ReloadHistory Stats Stop Subscribe SubscribeNamed SyncNow ThreadByID"},
+	} {
+		var got []string
+		for i := 0; i < c.typ.NumMethod(); i++ {
+			got = append(got, c.typ.Method(i).Name)
+		}
+		if want := strings.Fields(c.want); !reflect.DeepEqual(got, want) {
+			t.Errorf("exported methods of %v:\n got  %v\n want %v", c.typ, got, want)
 		}
 	}
 
