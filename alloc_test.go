@@ -3,7 +3,8 @@
 // allocations per operation (amortized: the per-thread event buffer
 // publishes one pooled carrier to the monitor queue every
 // event.BatchSize records, so the per-op average stays well under one).
-// The guarded tier's budget is bounded, not zero.
+// So is the guarded tier's, as long as its probes find no live signature
+// instance; a yield costs a fixed count.
 //
 // testing.AllocsPerRun counts process-wide mallocs, so the runtimes here
 // are configured with an effectively-idle monitor (huge Tau) and pruning
@@ -12,11 +13,14 @@ package dimmunix_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"dimmunix"
 	"dimmunix/internal/core"
+	"dimmunix/internal/signature"
+	"dimmunix/internal/stack"
 	"dimmunix/internal/workload"
 )
 
@@ -212,29 +216,149 @@ func TestFastPathTimedAndCtxZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestGuardedPathAllocBudget bounds the guarded tier: with the fast path
-// disabled every operation runs the full §5.4 protocol. That costs
-// allocations by design; this test only pins the budget so regressions
-// surface.
+// TestGuardedPathAllocBudget pins the guarded tier's allocations. With
+// the fast path disabled and an empty history, every operation runs the
+// full §5.4 protocol but never probes a signature. On the drop-in
+// surface, a call site a loaded history makes dangerous takes the
+// guarded tier and probes its signatures on every acquisition: when no
+// instance is live the probe allocates nothing, so the pair is as
+// allocation-free as the fast tier; when one is, the TryLock yields, and
+// the YIELD decision and its rollback cost a fixed count.
 func TestGuardedPathAllocBudget(t *testing.T) {
-	rt := allocRTLab(t, dimmunix.Config{Mode: dimmunix.ModeFull}, core.Lab{DisableFastPath: true})
-	th := rt.RegisterThread("alloc-guarded")
-	defer th.Close()
-	m := rt.NewMutex()
-	for i := 0; i < 200; i++ {
-		if err := m.LockT(th); err != nil {
-			t.Fatal(err)
+	t.Run("fast-path-off/empty-history", func(t *testing.T) {
+		rt := allocRTLab(t, dimmunix.Config{Mode: dimmunix.ModeFull}, core.Lab{DisableFastPath: true})
+		th := rt.RegisterThread("alloc-guarded")
+		defer th.Close()
+		m := rt.NewMutex()
+		pair := func() {
+			if err := m.LockT(th); err != nil {
+				t.Fatal(err)
+			}
+			_ = m.UnlockT(th)
 		}
-		_ = m.UnlockT(th)
-	}
-	avg := testing.AllocsPerRun(1000, func() {
-		if err := m.LockT(th); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 200; i++ {
+			pair()
 		}
-		_ = m.UnlockT(th)
+		// The per-thread event buffer publishes one pooled carrier
+		// every event.BatchSize records, so the average is below one.
+		if avg := testing.AllocsPerRun(1000, pair); avg >= 1 {
+			t.Fatalf("guarded Lock/Unlock allocates %.3f allocs/op (want < 1)", avg)
+		}
 	})
-	const budget = 12
-	if avg > budget {
-		t.Fatalf("guarded Lock/Unlock allocates %.1f allocs/op (budget %d)", avg, budget)
+
+	t.Run("drop-in/probed-no-match", func(t *testing.T) {
+		rt := allocDefault(t)
+		var mu dimmunix.Mutex
+		pair := func() { allocDangerousPair(&mu) }
+		pair()
+		// Four signatures pair the call site with stacks nobody has: it
+		// is dangerous, and every acquisition probes all four in vain.
+		site := allocCaptured(t, rt, "allocDangerousPair")
+		for i := range 4 {
+			nobody := stack.Stack{{Func: "nobody.lock", File: "nobody.go", Line: i + 1}}
+			rt.History().Add(signature.New(signature.Deadlock, []stack.Stack{site, nobody}, 2))
+		}
+		for i := 0; i < 200; i++ {
+			pair()
+		}
+		before := rt.Stats()
+		const runs = 2048
+		if avg := testing.AllocsPerRun(runs, pair); avg >= 1 {
+			t.Fatalf("guarded Lock/Unlock with a probed history allocates %.3f allocs/op (want < 1)", avg)
+		}
+		after := rt.Stats()
+		if got := after.GuardedAcquired - before.GuardedAcquired; got < runs {
+			t.Fatalf("%d of %d measured operations took the guarded tier", got, runs)
+		}
+		if after.Yields != before.Yields {
+			t.Fatal("a probe matched: the history was meant to have no live instance")
+		}
+	})
+
+	t.Run("drop-in/yield", func(t *testing.T) {
+		rt := allocDefault(t)
+		var a, b dimmunix.Mutex
+		// Learn both call sites, then archive the pattern "b tried here
+		// while a is held there", and hold a there.
+		allocHold(&a)()
+		try := func() bool { return allocTryPair(&b) }
+		try()
+		rt.History().Add(signature.New(signature.Deadlock, []stack.Stack{
+			allocCaptured(t, rt, "allocTryPair"), allocCaptured(t, rt, "allocHold.func1"),
+		}, 2))
+		defer allocHold(&a)()
+		op := func() {
+			if try() {
+				t.Fatal("TryLock went ahead into a live signature instance")
+			}
+		}
+		for i := 0; i < 200; i++ {
+			op()
+		}
+		before := rt.Stats().Yields
+		const runs = 1000
+		avg := testing.AllocsPerRun(runs, op)
+		if got := rt.Stats().Yields - before; got < runs {
+			t.Fatalf("%d of %d measured TryLocks yielded", got, runs)
+		}
+		// The decision's Causes and the Yield event's causes (one slice
+		// each); three queue nodes (the Request's batch carrier, the
+		// Yield and the Cancel event); the record carrier, a slice and
+		// its pointer, which an idle monitor never hands back to the
+		// pool.
+		const budget = 7
+		if avg > budget {
+			t.Fatalf("a yielding TryLock allocates %.0f allocs/op (budget %d)", avg, budget)
+		}
+	})
+}
+
+// allocDefault initializes the default runtime for allocation counting:
+// an idle monitor and no pruner, as allocRT does.
+func allocDefault(t *testing.T) *dimmunix.Runtime {
+	t.Helper()
+	initDefault(t, dimmunix.WithTau(time.Hour), dimmunix.WithThreadTTL(-1))
+	return dimmunix.Default()
+}
+
+// allocCaptured returns the stack rt captured at the lock call of fn, a
+// function of this file.
+func allocCaptured(t *testing.T, rt *dimmunix.Runtime, fn string) stack.Stack {
+	t.Helper()
+	for _, s := range rt.CapturedStacks() {
+		if len(s) > 0 && s[0].File == "alloc_test.go" && strings.HasSuffix(s[0].Func, "."+fn) {
+			return s
+		}
 	}
+	t.Fatalf("no stack captured at %s", fn)
+	return nil
+}
+
+//go:noinline
+func allocDangerousPair(mu *dimmunix.Mutex) {
+	mu.Lock()
+	mu.Unlock()
+}
+
+//go:noinline
+func allocTryPair(mu *dimmunix.Mutex) bool {
+	if !mu.TryLock() {
+		return false
+	}
+	mu.Unlock()
+	return true
+}
+
+// allocHold locks mu on a goroutine of its own and holds it until the
+// returned function is called.
+func allocHold(mu *dimmunix.Mutex) (release func()) {
+	held, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		mu.Lock()
+		close(held)
+		<-done
+		mu.Unlock()
+	}()
+	<-held
+	return func() { close(done) }
 }

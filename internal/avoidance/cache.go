@@ -37,6 +37,7 @@
 package avoidance
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -92,6 +93,12 @@ type ThreadState struct {
 	// exactly once.
 	fhMu      sync.Mutex
 	fastHolds []fastHold
+
+	// wakeBuf is the scratch a release or cancel on this thread's
+	// behalf snapshots the lock's yielders into (waitersOf). It is
+	// claimed by swapping it out: the wakes run after the guard drops,
+	// and a hand-off release may run beside the thread's own goroutine.
+	wakeBuf atomic.Pointer[[]*ThreadState]
 
 	// entryFree recycles entry nodes for this thread. Like everything
 	// below, it is protected by the cache guard.
@@ -231,10 +238,9 @@ type Cache struct {
 	// reconciledEpoch is the danger-index epoch outstanding fast holds
 	// were last reconciled against (adoptFastHolds).
 	reconciledEpoch uint64
-	// coverUsedT/coverUsedL are cover()'s recursion scratch, reused
-	// across requests — cover only ever runs under the guard.
-	coverUsedT map[*ThreadState]bool
-	coverUsedL map[*LockState]bool
+	// cover is the matcher's binding scratch (coverFrom), reused
+	// across probes — matching only ever runs under the guard.
+	cover []Binding
 
 	nextLockID atomic.Uint64
 
@@ -248,16 +254,14 @@ type Cache struct {
 // is invoked for every instrumentation event.
 func NewCache(cfg Config, interner *stack.Interner, hist *signature.History, stats *Stats, emit func(event.Event)) *Cache {
 	c := &Cache{
-		cfg:        cfg,
-		fastOK:     cfg.Mode == ModeFull && !cfg.IgnoreDecisions && !cfg.DisableFastPath,
-		interner:   interner,
-		hist:       hist,
-		emit:       emit,
-		stats:      stats,
-		byStack:    make(map[uint32][]matchRef),
-		threads:    make(map[int32]*ThreadState),
-		coverUsedT: make(map[*ThreadState]bool),
-		coverUsedL: make(map[*LockState]bool),
+		cfg:      cfg,
+		fastOK:   cfg.Mode == ModeFull && !cfg.IgnoreDecisions && !cfg.DisableFastPath,
+		interner: interner,
+		hist:     hist,
+		emit:     emit,
+		stats:    stats,
+		byStack:  make(map[uint32][]matchRef),
+		threads:  make(map[int32]*ThreadState),
 	}
 	if hist != nil {
 		c.reconciledEpoch = hist.Danger().Epoch()
@@ -661,6 +665,7 @@ func (c *Cache) Request(t *ThreadState, l *LockState, in *stack.Interned) Decisi
 			c.stats.ProbeFPs.Add(1)
 		}
 		t.yieldSig = dec.Sig
+		dec.Causes = slices.Clone(dec.Causes) // out of the guard-owned scratch
 		causes := make([]event.Cause, 0, len(dec.Causes))
 		for _, b := range dec.Causes {
 			if b.L.waiters == nil {
@@ -793,25 +798,44 @@ func (c *Cache) Release(t *ThreadState, l *LockState) {
 	if !stillHolds && l.owner == t {
 		l.owner = nil
 	}
-	toWake := waitersOf(l)
+	toWake := waitersOf(t, l)
 	c.guard.Unlock()
 	c.bufEmit(t, event.Release, l.ID, nil)
-	for _, w := range toWake {
-		wake(w)
-	}
+	wakeAll(t, toWake)
 }
 
 // waitersOf snapshots the threads yielding on a cause binding that
-// involves l, to be woken once the guard is dropped. Guard held.
-func waitersOf(l *LockState) []*ThreadState {
+// involves l into the wake scratch of t, the thread releasing l, to be
+// woken by wakeAll once the guard is dropped. Guard held.
+func waitersOf(t *ThreadState, l *LockState) *[]*ThreadState {
 	if len(l.waiters) == 0 {
 		return nil
 	}
-	ws := make([]*ThreadState, 0, len(l.waiters))
+	ws := t.wakeBuf.Swap(nil)
+	if ws == nil {
+		// First use, or another goroutine is waking from it: a
+		// hand-off release runs on behalf of t concurrently with t's
+		// own goroutine.
+		ws = new([]*ThreadState)
+	}
 	for _, w := range l.waiters {
-		ws = append(ws, w)
+		*ws = append(*ws, w)
 	}
 	return ws
+}
+
+// wakeAll wakes the threads waitersOf snapshotted (none if ws is nil) and
+// hands the scratch back to t.
+func wakeAll(t *ThreadState, ws *[]*ThreadState) {
+	if ws == nil {
+		return
+	}
+	for _, w := range *ws {
+		wake(w)
+	}
+	clear(*ws)
+	*ws = (*ws)[:0]
+	t.wakeBuf.Store(ws)
 }
 
 // Cancel rolls back t's outstanding allow edge on l (trylock failure,
@@ -830,12 +854,10 @@ func (c *Cache) Cancel(t *ThreadState, l *LockState) {
 		c.removeEntry(e)
 		t.pendingAllow = nil
 	}
-	toWake := waitersOf(l)
+	toWake := waitersOf(t, l)
 	c.guard.Unlock()
 	c.emit(event.Event{Kind: event.Cancel, TID: t.ID, LID: l.ID})
-	for _, w := range toWake {
-		wake(w)
-	}
+	wakeAll(t, toWake)
 }
 
 // ThreadExit deregisters a thread.

@@ -147,21 +147,20 @@ func (c *Cache) invalidateMatcher(sigID string) {
 
 // findInstance searches the history for a signature instantiated by the
 // tentative binding (t, l, in) together with the current allow/hold
-// entries (§5.4). Guard held.
+// entries (§5.4). A found instance's Causes are the guard-owned cover
+// scratch, valid until the next probe: Request copies them out on a
+// YIELD. Guard held.
 func (c *Cache) findInstance(t *ThreadState, l *LockState, in *stack.Interned) Decision {
-	refs := c.byStack[in.ID]
-	if len(refs) == 0 {
-		return Decision{}
-	}
-	for _, ref := range refs {
+	for _, ref := range c.byStack[in.ID] {
 		if ref.m.sig.Disabled {
 			continue
 		}
-		if bindings, ok := c.cover(ref.m, ref.idx, t, l); ok {
+		c.cover = c.cover[:0]
+		if c.coverFrom(ref.m, 0, ref.idx, t, l) {
 			return Decision{
 				Sig:        ref.m.sig,
 				Depth:      ref.m.depth,
-				Causes:     bindings,
+				Causes:     c.cover,
 				YielderIdx: ref.idx,
 			}
 		}
@@ -169,55 +168,51 @@ func (c *Cache) findInstance(t *ThreadState, l *LockState, in *stack.Interned) D
 	return Decision{}
 }
 
-// cover attempts an exact cover of the signature stacks: the requesting
-// thread covers position yIdx; every other position needs a distinct
-// (thread, lock) pair from the Allowed sets.
-func (c *Cache) cover(m *sigMatcher, yIdx int, t *ThreadState, l *LockState) ([]Binding, bool) {
-	n := len(m.sig.Stacks)
-	// Recursion scratch is per-cache: cover only runs under the guard, so
-	// reuse beats reallocating two maps per probe. The bindings slice is
-	// still allocated fresh — on success it escapes into the Decision.
-	usedT, usedL := c.coverUsedT, c.coverUsedL
-	clear(usedT)
-	clear(usedL)
-	usedT[t] = true
-	usedL[l] = true
-	bindings := make([]Binding, 0, n-1)
-
-	var rec func(j int) bool
-	rec = func(j int) bool {
-		if j == n {
-			return true
+// coverFrom extends c.cover to an exact cover of m's signature stacks
+// from position j on: the requesting thread t, requesting l, covers
+// position yIdx; every other position needs a (thread, lock) pair from
+// the Allowed sets whose thread and lock no other position uses. It
+// backtracks in place, so a probe allocates nothing once the scratch
+// has grown to the longest signature. Guard held.
+func (c *Cache) coverFrom(m *sigMatcher, j, yIdx int, t *ThreadState, l *LockState) bool {
+	if j == yIdx {
+		j++
+	}
+	if j == len(m.sig.Stacks) {
+		return true
+	}
+	for _, sid := range m.matchIDs[j] {
+		ss := c.stackStateByID(sid)
+		if ss == nil {
+			continue
 		}
-		if j == yIdx {
-			return rec(j + 1)
-		}
-		for _, sid := range m.matchIDs[j] {
-			ss := c.stackStateByID(sid)
-			if ss == nil {
+		for _, e := range ss.entries {
+			if c.inCover(e, t, l) {
 				continue
 			}
-			for _, e := range ss.entries {
-				if usedT[e.t] || usedL[e.l] {
-					continue
-				}
-				usedT[e.t] = true
-				usedL[e.l] = true
-				bindings = append(bindings, Binding{T: e.t, L: e.l, St: e.st, SigIdx: j})
-				if rec(j + 1) {
-					return true
-				}
-				bindings = bindings[:len(bindings)-1]
-				delete(usedT, e.t)
-				delete(usedL, e.l)
+			c.cover = append(c.cover, Binding{T: e.t, L: e.l, St: e.st, SigIdx: j})
+			if c.coverFrom(m, j+1, yIdx, t, l) {
+				return true
 			}
+			c.cover = c.cover[:len(c.cover)-1]
 		}
-		return false
 	}
-	if !rec(0) {
-		return nil, false
+	return false
+}
+
+// inCover reports whether e's thread or lock is already taken: by the
+// requester (t, l) or by a binding of the cover so far. A signature has
+// a handful of stacks, so the scan beats any set. Guard held.
+func (c *Cache) inCover(e *entry, t *ThreadState, l *LockState) bool {
+	if e.t == t || e.l == l {
+		return true
 	}
-	return bindings, true
+	for _, b := range c.cover {
+		if b.T == e.t || b.L == e.l {
+			return true
+		}
+	}
+	return false
 }
 
 // matchesAtDepth re-validates a found instance at a deeper matching depth

@@ -160,6 +160,13 @@ func (rt *Runtime) acquire(t *Thread, raw rawLock, ls *lockStateRef, s *Site, re
 	}
 
 	in, safe := t.classify(s)
+	// Keep the lock's tier hint for its next entry point (Site.Bound),
+	// writing it only when the tier changed: a lock that stays on one
+	// tier only ever reads it. A retry's Site carries a retired lock's
+	// hint, which nothing reads again.
+	if h := s.hint; h != nil && h.Load() == safe {
+		h.Store(!safe)
+	}
 
 	// Fast tier: a stack provably safe under the live history epoch skips
 	// the guarded §5.4 protocol entirely — in steady state one atomic
@@ -198,6 +205,9 @@ func (rt *Runtime) acquire(t *Thread, raw rawLock, ls *lockStateRef, s *Site, re
 	// a slow path, so two timestamps disappear in the noise.
 	if t0.IsZero() {
 		t0 = time.Now()
+	}
+	if h := guardedHook.Load(); h != nil {
+		(*h)(in)
 	}
 	if err := rt.requestLoop(t, ls, in, req, &dl); err != nil {
 		return err

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,7 +101,7 @@ func (f *fakeLock) lock(t *Thread, req lockReq) error {
 	return f.rt.acquire(t, f, f.ls, &s, req)
 }
 
-func (f *fakeLock) runtime() *Runtime { return f.rt }
+func (f *fakeLock) siteView() (*Runtime, *atomic.Bool) { return f.rt, nil }
 
 func (f *fakeLock) unlock(t *Thread) {
 	f.held[t]--

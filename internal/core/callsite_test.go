@@ -1,8 +1,12 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"unsafe"
+
+	"dimmunix/internal/signature"
+	"dimmunix/internal/stack"
 )
 
 //go:noinline
@@ -60,6 +64,123 @@ func TestCallSiteTableSharedAcrossThreads(t *testing.T) {
 	}
 	if got := rt.Stats().FastGos; got != fast+1 {
 		t.Errorf("FastGos %d -> %d, want thread B's lock on the fast tier", fast, got)
+	}
+}
+
+// TestHintedWalkIsACompleteCapture: on a call path deeper than
+// captureDepth, the entry walk of a lock whose last acquisition took the
+// guarded tier (the tier hint) fills its bound and is still a complete
+// capture. classify interns it as the exact stack the guarded request
+// gets and records it in the call-site table for good — not as a
+// depth-bounded key, which would send every such acquisition back to
+// capture its stack again from inside the lock path.
+func TestHintedWalkIsACompleteCapture(t *testing.T) {
+	rt := MustNew(testConfig())
+	defer rt.Stop()
+	th := rt.RegisterThread("hinted")
+	defer th.Close()
+	m := rt.NewMutex()
+	const depth = 24 // frames of recursion: the path outgrows captureDepth
+
+	lockUnlockDeep(t, th, m, depth) // fast tier: learns the stack
+	var site stack.Stack
+	for _, s := range rt.CapturedStacks() {
+		if len(s) > 0 && s[0].Func == "dimmunix/internal/core.lockUnlockDeep" && s[0].File == "callsite_test.go" {
+			site = s
+		}
+	}
+	if len(site) != rt.cfg.captureDepth {
+		t.Fatalf("the learned stack has %d frames, want captureDepth %d: %v", len(site), rt.cfg.captureDepth, site)
+	}
+	nobody := stack.Stack{{Func: "nobody.lock", File: "nobody.go", Line: 1}}
+	rt.History().Add(signature.New(signature.Deadlock, []stack.Stack{site, nobody}, 4))
+	lockUnlockDeep(t, th, m, depth) // guarded, recaptured: sets the hint
+	if !m.hint.Load() {
+		t.Fatal("a guarded acquisition left the lock's tier hint unset")
+	}
+
+	var walked []uintptr
+	var requested *stack.Interned
+	defer ObserveSites(func(pcs []uintptr) { walked = pcs })()
+	defer ObserveGuarded(func(in *stack.Interned) { requested = in })()
+	guarded := rt.Stats().GuardedAcquired
+	lockUnlockDeep(t, th, m, depth)
+	if got := rt.Stats().GuardedAcquired - guarded; got != 1 {
+		t.Fatalf("the hinted acquisition took the guarded tier %d times, want 1", got)
+	}
+	if len(walked) != rt.cfg.captureDepth {
+		t.Fatalf("the hinted entry point walked %d PCs, want its full bound %d", len(walked), rt.cfg.captureDepth)
+	}
+	if requested == nil || !requested.S.Equal(site) {
+		t.Fatalf("the guarded request got %v, want the exact stack %v", requested, site)
+	}
+	if in, ok := rt.pcCache.Get(walked); !ok || in != requested {
+		t.Fatal("the hinted walk is not in the call-site table as a complete capture of the requested stack")
+	}
+}
+
+//go:noinline
+func lockUnlockSafe(t *testing.T, th *Thread, m *Mutex) {
+	if err := m.LockT(th); err != nil {
+		t.Error(err)
+		return
+	}
+	if err := m.UnlockT(th); err != nil {
+		t.Error(err)
+	}
+}
+
+// hintWorker alternates a call site and a second one on m, n times.
+//
+//go:noinline
+func hintWorker(t *testing.T, rt *Runtime, m *Mutex, n int) {
+	th := rt.RegisterThread("worker")
+	defer th.Close()
+	for range n {
+		lockUnlockDeep(t, th, m, 0)
+		lockUnlockSafe(t, th, m)
+	}
+}
+
+// TestTierHintSharedLockConcurrent: goroutines sharing one lock take it
+// alternately from a dangerous and a safe call site, so its tier hint
+// flips under them all the time. The hint picks walk bounds, never
+// tiers: every dangerous acquisition takes the guarded tier and every
+// safe one the fast tier. Run under -race.
+func TestTierHintSharedLockConcurrent(t *testing.T) {
+	rt := MustNew(testConfig())
+	defer rt.Stop()
+	m := rt.NewMutex()
+	hintWorker(t, rt, m, 1) // learns both stacks
+	var site stack.Stack
+	for _, s := range rt.CapturedStacks() {
+		if len(s) > 1 && s[0].Func == "dimmunix/internal/core.lockUnlockDeep" && s[1].Func == "dimmunix/internal/core.hintWorker" {
+			site = s
+		}
+	}
+	if site == nil {
+		t.Fatal("the dangerous call site's stack was not captured")
+	}
+	nobody := stack.Stack{{Func: "nobody.lock", File: "nobody.go", Line: 1}}
+	rt.History().Add(signature.New(signature.Deadlock, []stack.Stack{site, nobody}, 2))
+
+	const workers, n = 4, 200
+	before := rt.Stats()
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			hintWorker(t, rt, m, n)
+		}()
+	}
+	wg.Wait()
+	after := rt.Stats()
+	if got := after.GuardedAcquired - before.GuardedAcquired; got != workers*n {
+		t.Errorf("guarded acquisitions %d, want the %d dangerous ones", got, workers*n)
+	}
+	if got := after.FastAcquired - before.FastAcquired; got != workers*n {
+		t.Errorf("fast acquisitions %d, want the %d safe ones", got, workers*n)
 	}
 }
 

@@ -54,6 +54,10 @@ type Mutex struct {
 	rt   *Runtime
 	kind MutexKind
 	ls   *lockStateRef
+	// hint is the tier hint: set while the last acquisition took the
+	// guarded tier, so the next entry point walks the stack that tier
+	// needs at once (Site.Bound). acquire keeps it.
+	hint atomic.Bool
 
 	token chan struct{}
 	owner atomic.Pointer[Thread]
@@ -187,7 +191,7 @@ func (m *Mutex) implicit(s *Site, req lockReq) error {
 	return m.rt.acquire(t, m, m.ls, s, req)
 }
 
-func (m *Mutex) runtime() *Runtime { return m.rt }
+func (m *Mutex) siteView() (*Runtime, *atomic.Bool) { return m.rt, &m.hint }
 
 // MutexLock, MutexTryLock, MutexLockCtx and MutexLockTimeout are Lock,
 // TryLock, LockCtx and LockTimeout for an entry point that walked its own

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -27,8 +28,9 @@ import (
 // Writers are preferred over new readers: once a writer is waiting, new
 // first-acquisition readers queue behind it.
 type RWMutex struct {
-	rt *Runtime
-	ls *lockStateRef
+	rt   *Runtime
+	ls   *lockStateRef
+	hint atomic.Bool // tier hint, as on Mutex
 
 	mu      sync.Mutex
 	gate    chan struct{}         // lazily made; closed+cleared to broadcast
@@ -223,7 +225,7 @@ func (rw *RWMutex) implicit(s *Site, req lockReq) error {
 	return rw.rt.acquire(t, rw, rw.ls, s, req)
 }
 
-func (rw *RWMutex) runtime() *Runtime { return rw.rt }
+func (rw *RWMutex) siteView() (*Runtime, *atomic.Bool) { return rw.rt, &rw.hint }
 
 // RWLock, RWRLock, RWTryLock, RWTryRLock, RWLockCtx, RWRLockCtx,
 // RWLockTimeout and RWRLockTimeout are the implicit-identity methods of

@@ -44,7 +44,7 @@ func (t *Thread) pin() { t.pins.Add(1) }
 // unpin releases a pin taken by pin or Runtime.currentPinned.
 func (t *Thread) unpin() { t.pins.Add(-1) }
 
-func (t *Thread) runtime() *Runtime { return t.rt }
+func (t *Thread) siteView() (*Runtime, *atomic.Bool) { return t.rt, nil }
 
 // ID returns the thread's Dimmunix ID.
 func (t *Thread) ID() int32 { return t.ts.ID }
@@ -120,34 +120,48 @@ func (rt *Runtime) fullBound(wrap int) int {
 // steady-state path. A Site bounded by another runtime's view is not
 // classified: acquire then captures from inside.
 type Site struct {
-	rt    *Runtime // whose view bounded the walk
-	epoch uint64   // danger-index epoch of a depth-bounded walk; 0: complete
-	bound int      // walk bound in application frames; 0: nothing walks
-	n     int      // PCs recorded
+	rt    *Runtime     // whose view bounded the walk
+	hint  *atomic.Bool // the bounding lock's tier hint, kept by acquire; nil: none
+	epoch uint64       // danger-index epoch of a depth-bounded walk; 0: complete
+	bound int          // walk bound in application frames; 0: nothing walks
+	n     int          // PCs recorded
 	pcs   [stack.MaxCaptureDepth]uintptr
 }
 
-// siteOwner is a lock an entry point bounds its walk for.
-type siteOwner interface{ runtime() *Runtime }
+// siteOwner is a lock an entry point bounds its walk for: its runtime,
+// and its tier hint — set while the lock's last acquisition took the
+// guarded tier (nil for a capture that no lock owns).
+type siteOwner interface {
+	siteView() (*Runtime, *atomic.Bool)
+}
 
 // Bound reads the danger view of l's runtime — epoch and shallow depth
-// from one DangerView load — and returns the buffer to walk, as long as
-// the view allows:
+// from one DangerView load — and l's tier hint, and returns the buffer
+// to walk, as long as the view allows:
 //
 //   - ModeOff: empty, nothing walks;
 //   - fast tier off, or only a full walk sound (ShallowDepth 0): a
 //     complete capture of captureDepth frames;
+//   - l's last acquisition took the guarded tier: the same complete
+//     capture, which classify interns as the exact stack the guarded
+//     tier needs, so a dangerous call site is walked once, not once
+//     shallow and again from inside the lock path (captureStack);
 //   - otherwise max(ShallowDepth, MatchDepth) frames, so a newly archived
 //     signature's matching window stays covered by the key.
 //
-// The walk's skip is exact, so neither bound allows for Dimmunix frames.
+// The hint only picks the bound; the verdict is classify's either way.
+// A stale "guarded" hint costs frames: a lock taken from both safe and
+// dangerous call sites walks captureDepth frames on a safe acquisition
+// that follows a guarded one. A stale "fast" hint costs the recapture.
+//
+// The walk's skip is exact, so no bound allows for Dimmunix frames.
 func (s *Site) Bound(l siteOwner) []uintptr {
-	rt := l.runtime()
-	s.rt, s.epoch, s.n = rt, 0, 0
+	rt, hint := l.siteView()
+	s.rt, s.hint, s.epoch, s.n = rt, hint, 0, 0
 	switch {
 	case rt.cfg.Mode == ModeOff:
 		s.bound = 0
-	case !rt.cache.FastOK():
+	case !rt.cache.FastOK() || hint != nil && hint.Load():
 		s.bound = rt.cfg.captureDepth
 	default:
 		ep, shallow := rt.cache.DangerView()
@@ -164,8 +178,8 @@ func (s *Site) Bound(l siteOwner) []uintptr {
 // epoch, never a depth-bounded key read against a view the wait may have
 // made stale.
 func (s *Site) BoundComplete(l siteOwner) []uintptr {
-	rt := l.runtime()
-	s.rt, s.epoch, s.n = rt, 0, 0
+	rt, hint := l.siteView()
+	s.rt, s.hint, s.epoch, s.n = rt, hint, 0, 0
 	s.bound = 0
 	if rt.cfg.Mode != ModeOff {
 		s.bound = rt.cfg.captureDepth
@@ -196,6 +210,19 @@ var siteHook atomic.Pointer[func([]uintptr)]
 func ObserveSites(fn func(pcs []uintptr)) (restore func()) {
 	siteHook.Store(&fn)
 	return func() { siteHook.Store(nil) }
+}
+
+// guardedHook, when set, observes the stack every guarded acquisition
+// requests with (see ObserveGuarded).
+var guardedHook atomic.Pointer[func(*stack.Interned)]
+
+// ObserveGuarded makes every acquisition that takes the guarded tier
+// call fn with the interned stack it hands the §5.4 request, until
+// restore runs. It exists to test that a hinted walk (Site.Bound) yields
+// the stack a capture from inside the lock path would.
+func ObserveGuarded(fn func(in *stack.Interned)) (restore func()) {
+	guardedHook.Store(&fn)
+	return func() { guardedHook.Store(nil) }
 }
 
 // captureStack records the caller's call stack with Dimmunix's own frames
@@ -271,18 +298,22 @@ func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 // whether the stack is provably safe (so the caller may take the
 // lock-free fast tier). It never walks on the steady-state path.
 //
-// A walk that ended inside its bound is a complete capture: the
+// A walk that ended inside its bound, or was bounded complete (epoch 0:
+// fast tier off, a Cond wait, or a lock whose tier hint says its last
+// acquisition was guarded — see Site.Bound), is a complete capture: the
 // call-site table (Runtime.pcCache) maps it to the exact stack, valid
-// forever. A walk that filled a shallow bound is a depth-bounded key,
-// whose table entry is a representative of the call paths sharing those
-// frames: same verdict (it depends only on frames the key covers),
-// possibly different outer frames. Either way the verdict is the epoch
-// marker on the interned stack found there (Cache.ClassifySafe), for
-// every thread alike. Three rules keep bounded keys sound:
+// forever, which serves either tier. A walk that filled a shallow bound
+// is a depth-bounded key, whose table entry is a representative of the
+// call paths sharing those frames: same verdict (it depends only on
+// frames the key covers), possibly different outer frames. Either way
+// the verdict is the epoch marker on the interned stack found there
+// (Cache.ClassifySafe), for every thread alike. Three rules keep bounded
+// keys sound:
 //
 //   - a bounded key never feeds the guarded tier, whose §5.4 matching
 //     and archival need the exact deep frames: a miss or a dangerous
-//     verdict recaptures the full stack from inside (captureStack);
+//     verdict recaptures the full stack from inside (captureStack). A
+//     hinted lock's walk is complete, so it is never recaptured;
 //   - an epoch move invalidates a bounded key (the new index may need
 //     deeper frames than it covers): the entry answers only at the epoch
 //     of the view that bounded the walk, and the recapture replaces it

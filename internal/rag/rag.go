@@ -54,12 +54,17 @@ type Thread struct {
 	// Yields maps cause thread ID -> yield edge.
 	Yields map[int32]*YieldEdge
 
-	// spare recycles the last fully released hold edge: lock/unlock churn
-	// on an uncontended mutex would otherwise allocate a HoldEdge (plus
-	// its Stacks backing array) per acquisition, and the monitor's Apply
-	// loop shares cores with the instrumented application.
-	spare *HoldEdge
+	// spares recycle fully released hold edges: lock/unlock churn would
+	// otherwise allocate a HoldEdge (plus its Stacks backing array) per
+	// acquisition — per nested one, were only the last edge kept — and
+	// the monitor's Apply loop shares cores with the instrumented
+	// application. At most maxSpares are kept.
+	spares []*HoldEdge
 }
+
+// maxSpares bounds a thread's recycled hold edges: as many as it holds
+// locks at once, up to a nesting depth locking code rarely exceeds.
+const maxSpares = 8
 
 // HoldEdge is a lock->thread hold edge; Stacks has one entry per
 // outstanding (reentrant) acquisition, in acquisition order.
@@ -230,9 +235,9 @@ func (g *RAG) Apply(ev event.Event) {
 		t.Yielding = false
 		h := t.Holds[l.ID]
 		if h == nil {
-			if t.spare != nil {
-				h = t.spare
-				t.spare = nil
+			if n := len(t.spares); n > 0 {
+				h = t.spares[n-1]
+				t.spares = t.spares[:n-1]
 				h.Lock, h.Thread = l, t
 			} else {
 				h = &HoldEdge{Lock: l, Thread: t}
@@ -260,7 +265,9 @@ func (g *RAG) Apply(ev event.Event) {
 					l.Holder = nil
 				}
 				h.Lock, h.Thread = nil, nil
-				t.spare = h
+				if len(t.spares) < maxSpares {
+					t.spares = append(t.spares, h)
+				}
 			}
 		}
 		g.dirty[t.ID] = t

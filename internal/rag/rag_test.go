@@ -466,3 +466,19 @@ func BenchmarkApplyDetect(b *testing.B) {
 		g.Detect()
 	}
 }
+
+// TestNestedHoldsAllocNothing: a thread that takes two locks nested and
+// releases them, over and over, reuses its released hold edges, so the
+// monitor's Apply loop allocates nothing per round once warm.
+func TestNestedHoldsAllocNothing(t *testing.T) {
+	g := New()
+	evs := []event.Event{
+		req(1, 1, 1), allow(1, 1, 1), acq(1, 1, 1),
+		req(1, 2, 2), allow(1, 2, 2), acq(1, 2, 2),
+		rel(1, 2), rel(1, 1),
+	}
+	apply(g, evs...)
+	if avg := testing.AllocsPerRun(1000, func() { apply(g, evs...) }); avg != 0 {
+		t.Fatalf("a nested lock/unlock round allocates %.1f objects in the graph", avg)
+	}
+}

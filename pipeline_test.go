@@ -325,8 +325,9 @@ func pipeTopB(e *pipeEnv, acquire func(*pipeEnv) error) error { return pipeOuter
 
 // driveEntry runs one acquisition of p through top on a goroutine of its
 // own, with a fresh explicit handle, after first running it through each
-// of warm. It returns the
-// stats movement of that one acquisition.
+// of warm. Every acquisition is made from one call line, so the same
+// top gives the same full stack. It returns the stats movement of the
+// last acquisition.
 func driveEntry(t *testing.T, rt *dimmunix.Runtime, p pipeEntry, top func(*pipeEnv, func(*pipeEnv) error) error, warm ...func(*pipeEnv, func(*pipeEnv) error) error) (e *pipeEnv, fast, guarded uint64) {
 	t.Helper()
 	e = newPipeEnv(rt)
@@ -336,23 +337,19 @@ func driveEntry(t *testing.T, rt *dimmunix.Runtime, p pipeEntry, top func(*pipeE
 		defer wg.Done()
 		e.th = rt.RegisterThread(p.name)
 		defer e.th.Close()
-		once := func(top func(*pipeEnv, func(*pipeEnv) error) error) {
+		for _, top := range append(warm, top) {
 			if p.prep != nil {
 				p.prep(e)
 			}
 			before := rt.Stats()
 			if err := top(e, p.acquire); err != nil {
 				t.Errorf("%s: acquisition failed: %v", p.name, err)
-				return
+				continue
 			}
 			after := rt.Stats()
 			fast, guarded = after.FastAcquired-before.FastAcquired, after.GuardedAcquired-before.GuardedAcquired
 			p.release(e)
 		}
-		for _, w := range warm {
-			once(w)
-		}
-		once(top)
 	}()
 	wg.Wait()
 	return e, fast, guarded

@@ -207,3 +207,160 @@ func TestCondReacquireOutlivesNoView(t *testing.T) {
 		})
 	}
 }
+
+// observeGuarded records the stack every guarded acquisition requests
+// with until the test ends, and returns a function that reads those whose
+// innermost frame is line of pipeline_test.go, in order.
+func observeGuarded(t *testing.T) func(line int) []*stack.Interned {
+	t.Helper()
+	var mu sync.Mutex
+	var ins []*stack.Interned
+	t.Cleanup(core.ObserveGuarded(func(in *stack.Interned) {
+		mu.Lock()
+		ins = append(ins, in)
+		mu.Unlock()
+	}))
+	return func(line int) []*stack.Interned {
+		mu.Lock()
+		defer mu.Unlock()
+		var at []*stack.Interned
+		for _, in := range ins {
+			if len(in.S) > 0 && in.S[0].File == "pipeline_test.go" && in.S[0].Line == line {
+				at = append(at, in)
+			}
+		}
+		return at
+	}
+}
+
+// lastWalkAt returns the last walk an acquisition was handed that starts
+// at line of pipeline_test.go, resolved.
+func lastWalkAt(t *testing.T, sites [][]uintptr, line int) []runtime.Frame {
+	t.Helper()
+	var last []runtime.Frame
+	for _, pcs := range sites {
+		if len(pcs) == 0 {
+			continue
+		}
+		if f := firstFrame(pcs); !strings.HasSuffix(f.File, "/pipeline_test.go") || f.Line != line {
+			continue
+		}
+		last = last[:0]
+		frames := runtime.CallersFrames(pcs)
+		for {
+			f, more := frames.Next()
+			last = append(last, f)
+			if !more {
+				break
+			}
+		}
+	}
+	if last == nil {
+		t.Fatalf("no walk started at pipeline_test.go:%d", line)
+	}
+	return last
+}
+
+// complete reports whether a resolved walk reached the goroutine's
+// outermost frame — a walk no shallow bound cut short.
+func complete(walk []runtime.Frame) bool {
+	return walk[len(walk)-1].Function == "runtime.goexit"
+}
+
+// learnPipeTopA learns p's pipeTopA stack on rt and returns it with a
+// function that archives it next to a stack nobody has: the path becomes
+// dangerous without ever being instantiated.
+func learnPipeTopA(t *testing.T, rt *dimmunix.Runtime, p pipeEntry) (sA stack.Stack, archive func()) {
+	t.Helper()
+	e, _, _ := driveEntry(t, rt, p, pipeTopA)
+	sA = capturedAt(rt, e.line)
+	if len(sA) < 4 || !strings.HasSuffix(sA[3].Func, "pipeTopA") {
+		t.Fatalf("could not find the pipeTopA stack of line %d: %v", e.line, sA)
+	}
+	other := stack.Stack{{Func: "nobody.lock", File: "nobody.go", Line: 1}, {Func: "nobody.main", File: "nobody.go", Line: 2}}
+	return sA, func() { rt.History().Add(signature.New(signature.Deadlock, []stack.Stack{sA, other}, 4)) }
+}
+
+// TestHintedWalkIsTheCapturedStack: once an acquisition of a lock from a
+// dangerous call site took the guarded tier, the lock's next entry point
+// walks its call site completely (the tier hint) and hands the §5.4
+// request the very interned stack the first acquisition recaptured from
+// inside the lock path — on every entry point.
+func TestHintedWalkIsTheCapturedStack(t *testing.T) {
+	for _, p := range pipeEntries {
+		t.Run(p.name, func(t *testing.T) {
+			initDefault(t, dimmunix.WithMatchDepth(4))
+			rt := dimmunix.Default()
+			sA, archive := learnPipeTopA(t, rt, p)
+			archive()
+			sites, guardedAt := observeSites(t), observeGuarded(t)
+			e, fast, guarded := driveEntry(t, rt, p, pipeTopA, pipeTopA)
+			if fast != 0 || guarded != 1 {
+				t.Fatalf("hinted acquisition: fast=%d guarded=%d, want the guarded tier", fast, guarded)
+			}
+			ins := guardedAt(e.line)
+			if len(ins) != 2 {
+				t.Fatalf("%d guarded requests from line %d, want 2 (recaptured, then hinted)", len(ins), e.line)
+			}
+			if ins[0] != ins[1] {
+				t.Fatalf("the hinted walk requested with %v, the recapture with %v", ins[1].S, ins[0].S)
+			}
+			if !ins[1].S.Equal(sA) {
+				t.Fatalf("guarded request with %v, want the full stack %v", ins[1].S, sA)
+			}
+			if walk := lastWalkAt(t, sites(), e.line); !complete(walk) {
+				t.Fatalf("the hinted entry point walked %d frames, not its whole stack", len(walk))
+			}
+		})
+	}
+}
+
+// TestGuardedHintFromSafeSiteTakesFastTier: the tier hint only picks the
+// walk's bound. A lock whose last acquisition was guarded, next taken
+// from a call site no signature covers, walks that site completely and
+// takes the fast tier.
+func TestGuardedHintFromSafeSiteTakesFastTier(t *testing.T) {
+	for _, p := range pipeEntries {
+		t.Run(p.name, func(t *testing.T) {
+			initDefault(t, dimmunix.WithMatchDepth(4))
+			rt := dimmunix.Default()
+			_, archive := learnPipeTopA(t, rt, p)
+			archive()
+			sites := observeSites(t)
+			e, fast, guarded := driveEntry(t, rt, p, pipeTopB, pipeTopA)
+			if fast != 1 || guarded != 0 {
+				t.Fatalf("safe pipeTopB after a guarded pipeTopA: fast=%d guarded=%d, want the fast tier", fast, guarded)
+			}
+			if walk := lastWalkAt(t, sites(), e.line); !complete(walk) {
+				t.Fatalf("the hinted entry point walked %d frames, not its whole stack", len(walk))
+			}
+		})
+	}
+}
+
+// TestFastHintSeesArchive: a lock whose last acquisition took the fast
+// tier, next taken from a call site a signature archived in between
+// covers, takes the guarded tier with the exact full stack: the stale
+// hint costs the recapture, never the verdict.
+func TestFastHintSeesArchive(t *testing.T) {
+	for _, p := range pipeEntries {
+		t.Run(p.name, func(t *testing.T) {
+			initDefault(t, dimmunix.WithMatchDepth(4))
+			rt := dimmunix.Default()
+			sA, archive := learnPipeTopA(t, rt, p)
+			guardedAt := observeGuarded(t)
+			fastThenArchive := func(e *pipeEnv, acquire func(*pipeEnv) error) error {
+				defer archive()
+				return pipeTopA(e, acquire)
+			}
+			e, fast, guarded := driveEntry(t, rt, p, pipeTopA, fastThenArchive)
+			if fast != 0 || guarded != 1 {
+				t.Fatalf("pipeTopA after a mid-way archive: fast=%d guarded=%d, want the guarded tier", fast, guarded)
+			}
+			ins := guardedAt(e.line)
+			if len(ins) != 1 || !ins[0].S.Equal(sA) {
+				t.Fatalf("guarded requests from line %d: %v, want one with the full stack %v", e.line, ins, sA)
+			}
+		})
+	}
+}
