@@ -80,3 +80,26 @@ func TestReleaseAfterStealEmitted(t *testing.T) {
 		t.Fatalf("release after steal published %v, want [%s]", got, rel)
 	}
 }
+
+// TestInstrumentModeProgramOrder: in ModeInstrument a thread's records
+// reach the queue in program order. Request and Go ride the thread's
+// batch buffer, so Acquired and Release must too: emitted directly, they
+// would reach the monitor before the Go that precedes them.
+func TestInstrumentModeProgramOrder(t *testing.T) {
+	e := newEnv(Config{Mode: ModeInstrument})
+	t1 := e.c.NewThread(1, 1, "T1")
+	l := e.c.NewLock()
+	e.c.Request(t1, l, e.stk("lock", "f"))
+	e.c.Acquired(t1, l)
+	e.c.Release(t1, l)
+	got := e.published()
+	want := []string{
+		fmt.Sprintf("%v:%d", event.Request, l.ID),
+		fmt.Sprintf("%v:%d", event.Go, l.ID),
+		fmt.Sprintf("%v:%d", event.Acquired, l.ID),
+		fmt.Sprintf("%v:%d", event.Release, l.ID),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("T1's records reached the queue as %v, want %v", got, want)
+	}
+}

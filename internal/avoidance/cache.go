@@ -728,7 +728,7 @@ func (c *Cache) acquired(t *ThreadState, l *LockState, shared bool) {
 	}
 	t.liveHolds.Add(1)
 	if c.cfg.Mode == ModeInstrument {
-		c.emit(event.Event{Kind: event.Acquired, TID: t.ID, LID: l.ID})
+		c.bufEmit(t, event.Acquired, l.ID, nil)
 		return
 	}
 	c.guard.Lock()
@@ -777,7 +777,7 @@ func (c *Cache) Release(t *ThreadState, l *LockState) {
 	c.stats.Releases.Add(1)
 	t.liveHolds.Add(-1)
 	if c.cfg.Mode == ModeInstrument {
-		c.emit(event.Event{Kind: event.Release, TID: t.ID, LID: l.ID})
+		c.bufEmit(t, event.Release, l.ID, nil)
 		return
 	}
 	c.guard.Lock()

@@ -43,6 +43,8 @@ func NewCond(l *Mutex) *Cond { return &Cond{L: l} }
 // WaitT atomically releases the mutex, waits for Signal/Broadcast (or an
 // abort from deadlock recovery), and re-acquires the mutex through the
 // full avoidance protocol before returning.
+//
+//go:noinline
 func (c *Cond) WaitT(t *Thread) error {
 	var s Site
 	s.Walk(s.BoundComplete(c.L))
@@ -53,6 +55,8 @@ func (c *Cond) WaitT(t *Thread) error {
 // mutex re-acquisition is unbounded either way; ErrTimeout reports that
 // the signal did not arrive (the mutex is still re-acquired and held when
 // WaitTimeoutT returns ErrTimeout, matching pthread_cond_timedwait).
+//
+//go:noinline
 func (c *Cond) WaitTimeoutT(t *Thread, d time.Duration) error {
 	var s Site
 	s.Walk(s.BoundComplete(c.L))
@@ -65,6 +69,8 @@ func (c *Cond) WaitTimeoutT(t *Thread, d time.Duration) error {
 // returned. The re-acquisition itself runs the full avoidance protocol
 // and is interrupted only by deadlock recovery, whose error is returned
 // with the mutex NOT held.
+//
+//go:noinline
 func (c *Cond) WaitCtxT(t *Thread, ctx context.Context) error {
 	var s Site
 	s.Walk(s.BoundComplete(c.L))
@@ -72,6 +78,8 @@ func (c *Cond) WaitCtxT(t *Thread, ctx context.Context) error {
 }
 
 // WaitCtx is WaitCtxT for the calling goroutine.
+//
+//go:noinline
 func (c *Cond) WaitCtx(ctx context.Context) error {
 	var s Site
 	s.Walk(s.BoundComplete(c.L))
@@ -79,6 +87,8 @@ func (c *Cond) WaitCtx(ctx context.Context) error {
 }
 
 // Wait is WaitT for the calling goroutine.
+//
+//go:noinline
 func (c *Cond) Wait() error {
 	var s Site
 	s.Walk(s.BoundComplete(c.L))

@@ -94,8 +94,12 @@ func (m *Mutex) Kind() MutexKind { return m.kind }
 // Every acquisition method below is an entry point: it walks its
 // caller's call site in its own body (Site) and hands the walk down, so
 // the pipeline never unwinds Dimmunix's frames on the steady-state path.
+// Entry points are never inlined: the walk reaches the application's
+// frame by a fixed number of hops from the entry point's (Site.Walk).
 
 // Lock acquires the mutex on behalf of the calling goroutine.
+//
+//go:noinline
 func (m *Mutex) Lock() error {
 	var s Site
 	s.Walk(s.Bound(m))
@@ -110,6 +114,8 @@ func (m *Mutex) Unlock() error {
 }
 
 // TryLock attempts the lock without blocking.
+//
+//go:noinline
 func (m *Mutex) TryLock() (bool, error) {
 	var s Site
 	s.Walk(s.Bound(m))
@@ -117,6 +123,8 @@ func (m *Mutex) TryLock() (bool, error) {
 }
 
 // LockTimeout acquires the mutex, failing with ErrTimeout after d.
+//
+//go:noinline
 func (m *Mutex) LockTimeout(d time.Duration) error {
 	var s Site
 	s.Walk(s.Bound(m))
@@ -125,6 +133,8 @@ func (m *Mutex) LockTimeout(d time.Duration) error {
 
 // MustLock is Lock that panics on error, for code that uses Normal or
 // Recursive mutexes without recovery hooks.
+//
+//go:noinline
 func (m *Mutex) MustLock() {
 	var s Site
 	s.Walk(s.Bound(m))
@@ -142,6 +152,8 @@ func (m *Mutex) MustUnlock() {
 
 // LockT acquires the mutex on behalf of t, running the full §5.4
 // avoidance protocol: request -> (yield)* -> go -> block -> acquired.
+//
+//go:noinline
 func (m *Mutex) LockT(t *Thread) error {
 	var s Site
 	s.Walk(s.Bound(m))
@@ -151,6 +163,8 @@ func (m *Mutex) LockT(t *Thread) error {
 // TryLockT attempts the lock without blocking. A YIELD decision counts as
 // failure (the thread may not enter the dangerous pattern), mirroring
 // pthread_mutex_trylock + the §6 cancel event.
+//
+//go:noinline
 func (m *Mutex) TryLockT(t *Thread) (bool, error) {
 	var s Site
 	s.Walk(s.Bound(m))
@@ -158,6 +172,8 @@ func (m *Mutex) TryLockT(t *Thread) (bool, error) {
 }
 
 // LockTimeoutT acquires with a deadline, like pthread_mutex_timedlock.
+//
+//go:noinline
 func (m *Mutex) LockTimeoutT(t *Thread, d time.Duration) error {
 	var s Site
 	s.Walk(s.Bound(m))
@@ -168,6 +184,8 @@ func (m *Mutex) LockTimeoutT(t *Thread, d time.Duration) error {
 // up when ctx is canceled or its deadline passes (the error is then
 // ctx.Err()). A context cancellation rolls the request back with the same
 // §6 cancel event as a timeout.
+//
+//go:noinline
 func (m *Mutex) LockCtx(ctx context.Context) error {
 	var s Site
 	s.Walk(s.Bound(m))
@@ -175,6 +193,8 @@ func (m *Mutex) LockCtx(ctx context.Context) error {
 }
 
 // LockCtxT is LockCtx on behalf of an explicit thread handle.
+//
+//go:noinline
 func (m *Mutex) LockCtxT(t *Thread, ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -82,6 +82,8 @@ func (rw *RWMutex) ID() uint64 { return rw.ls.ID }
 // caller's call site in its own body, as with Mutex.
 
 // Lock write-locks on behalf of the calling goroutine.
+//
+//go:noinline
 func (rw *RWMutex) Lock() error {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -96,6 +98,8 @@ func (rw *RWMutex) Unlock() error {
 }
 
 // RLock read-locks on behalf of the calling goroutine.
+//
+//go:noinline
 func (rw *RWMutex) RLock() error {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -113,6 +117,8 @@ func (rw *RWMutex) RUnlock() error {
 }
 
 // TryLock attempts the write lock without blocking.
+//
+//go:noinline
 func (rw *RWMutex) TryLock() (bool, error) {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -120,6 +126,8 @@ func (rw *RWMutex) TryLock() (bool, error) {
 }
 
 // TryRLock attempts a read lock without blocking.
+//
+//go:noinline
 func (rw *RWMutex) TryRLock() (bool, error) {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -127,6 +135,8 @@ func (rw *RWMutex) TryRLock() (bool, error) {
 }
 
 // LockTimeout write-locks, failing with ErrTimeout after d.
+//
+//go:noinline
 func (rw *RWMutex) LockTimeout(d time.Duration) error {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -134,6 +144,8 @@ func (rw *RWMutex) LockTimeout(d time.Duration) error {
 }
 
 // RLockTimeout read-locks, failing with ErrTimeout after d.
+//
+//go:noinline
 func (rw *RWMutex) RLockTimeout(d time.Duration) error {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -141,6 +153,8 @@ func (rw *RWMutex) RLockTimeout(d time.Duration) error {
 }
 
 // LockCtx write-locks, giving up when ctx fires (error is then ctx.Err()).
+//
+//go:noinline
 func (rw *RWMutex) LockCtx(ctx context.Context) error {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -148,6 +162,8 @@ func (rw *RWMutex) LockCtx(ctx context.Context) error {
 }
 
 // RLockCtx read-locks, giving up when ctx fires (error is then ctx.Err()).
+//
+//go:noinline
 func (rw *RWMutex) RLockCtx(ctx context.Context) error {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -155,6 +171,8 @@ func (rw *RWMutex) RLockCtx(ctx context.Context) error {
 }
 
 // LockT write-locks on behalf of t, running the full avoidance protocol.
+//
+//go:noinline
 func (rw *RWMutex) LockT(t *Thread) error {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -163,6 +181,8 @@ func (rw *RWMutex) LockT(t *Thread) error {
 
 // RLockT read-locks on behalf of t. The request participates in the
 // avoidance protocol; the resulting hold is shared.
+//
+//go:noinline
 func (rw *RWMutex) RLockT(t *Thread) error {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -171,6 +191,8 @@ func (rw *RWMutex) RLockT(t *Thread) error {
 
 // TryLockT attempts the write lock without blocking; a YIELD decision
 // counts as failure, as with Mutex.TryLockT.
+//
+//go:noinline
 func (rw *RWMutex) TryLockT(t *Thread) (bool, error) {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -178,6 +200,8 @@ func (rw *RWMutex) TryLockT(t *Thread) (bool, error) {
 }
 
 // TryRLockT attempts a read lock without blocking.
+//
+//go:noinline
 func (rw *RWMutex) TryRLockT(t *Thread) (bool, error) {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -185,6 +209,8 @@ func (rw *RWMutex) TryRLockT(t *Thread) (bool, error) {
 }
 
 // LockTimeoutT write-locks with a deadline.
+//
+//go:noinline
 func (rw *RWMutex) LockTimeoutT(t *Thread, d time.Duration) error {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -192,6 +218,8 @@ func (rw *RWMutex) LockTimeoutT(t *Thread, d time.Duration) error {
 }
 
 // RLockTimeoutT read-locks with a deadline.
+//
+//go:noinline
 func (rw *RWMutex) RLockTimeoutT(t *Thread, d time.Duration) error {
 	var s Site
 	s.Walk(s.Bound(rw))
@@ -199,6 +227,8 @@ func (rw *RWMutex) RLockTimeoutT(t *Thread, d time.Duration) error {
 }
 
 // LockCtxT is LockCtx on behalf of an explicit thread handle.
+//
+//go:noinline
 func (rw *RWMutex) LockCtxT(t *Thread, ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -209,6 +239,8 @@ func (rw *RWMutex) LockCtxT(t *Thread, ctx context.Context) error {
 }
 
 // RLockCtxT is RLockCtx on behalf of an explicit thread handle.
+//
+//go:noinline
 func (rw *RWMutex) RLockCtxT(t *Thread, ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -110,8 +109,7 @@ func (rt *Runtime) fullBound(wrap int) int {
 // point's own body, and the danger view that bounded the walk. Every
 // public acquisition entry point fills one before it calls into the
 // pipeline (Runtime.acquire), so the steady-state walk covers only the
-// application's frames — none of Dimmunix's own, which runtime.Callers
-// would unwind at full price even when skipped:
+// application's frames — none of Dimmunix's own:
 //
 //	var s Site
 //	s.Walk(s.Bound(m))
@@ -123,9 +121,67 @@ type Site struct {
 	rt    *Runtime     // whose view bounded the walk
 	hint  *atomic.Bool // the bounding lock's tier hint, kept by acquire; nil: none
 	epoch uint64       // danger-index epoch of a depth-bounded walk; 0: complete
-	bound int          // walk bound in application frames; 0: nothing walks
+	bound int          // application frames the walk must cover; 0: nothing walks
 	n     int          // PCs recorded
-	pcs   [stack.MaxCaptureDepth]uintptr
+	probe bool         // the walker's verification: Walk walks by frame pointers unverified
+	pcs   [stack.MaxCaptureDepth + walkSlack]uintptr
+}
+
+// walkSlack is how many PCs a walk takes beyond its bound of application
+// frames. Walk's PCs are physical (see Walk), and a compiler-generated
+// wrapper between two application frames — a method value's, a promoted
+// method's, a go or defer statement's — is one more physical frame that
+// runtime.Callers, and the resolution, leave out. Without the slack a
+// goroutine started by "go f(args)" could never cover its bound: its
+// every key would stop one frame short and send each acquisition back to
+// captureStack. A key that needs more than walkSlack wrappers is still
+// sound, only never stored (classify).
+const walkSlack = 2
+
+// Walk modes: how Site.Walk reads the stack, settled once per process by
+// walkerVerified.
+const (
+	walkUnverified uint32 = iota
+	walkFP                // the frame-pointer walk, verified
+	walkCallers           // runtime.Callers, for the rest of the process
+)
+
+var (
+	walkMode  atomic.Uint32
+	walkCheck sync.Once
+)
+
+// walkerVerified settles the walk mode on first use and reports whether
+// Walk may follow frame pointers. The frame-pointer walker is trusted only
+// once its resolved walk of a fixed call chain equals runtime.Callers'
+// (verifyWalker); a disagreement, or a GOARCH without the walker, leaves
+// the process on runtime.Callers for good, with no error.
+func walkerVerified() bool {
+	walkCheck.Do(func() {
+		if verifyWalker(0) {
+			walkMode.Store(walkFP)
+		} else {
+			walkMode.Store(walkCallers)
+		}
+	})
+	return walkMode.Load() == walkFP
+}
+
+// WalksFramePointers reports whether this process's entry points walk by
+// frame pointers (settling the walk mode if nothing has walked yet).
+func WalksFramePointers() bool { return walkerVerified() }
+
+// ForceWalkFallback verifies the walker again on a walk that starts one
+// frame out — what an inlined entry point would hand it — so the
+// verification disagrees and the process walks with runtime.Callers until
+// restore runs. It exists to test the fallback.
+func ForceWalkFallback() (restore func()) {
+	walkerVerified()
+	prev := walkMode.Load()
+	if !verifyWalker(1) {
+		walkMode.Store(walkCallers)
+	}
+	return func() { walkMode.Store(prev) }
 }
 
 // siteOwner is a lock an entry point bounds its walk for: its runtime,
@@ -137,7 +193,9 @@ type siteOwner interface {
 
 // Bound reads the danger view of l's runtime — epoch and shallow depth
 // from one DangerView load — and l's tier hint, and returns the buffer
-// to walk, as long as the view allows:
+// to walk: the bound, in application frames, plus walkSlack PCs for the
+// wrappers a physical walk meets. The bound is as long as the view
+// allows:
 //
 //   - ModeOff: empty, nothing walks;
 //   - fast tier off, or only a full walk sound (ShallowDepth 0): a
@@ -170,7 +228,7 @@ func (s *Site) Bound(l siteOwner) []uintptr {
 			s.epoch, s.bound = ep, max(shallow, rt.cfg.MatchDepth)
 		}
 	}
-	return s.pcs[:s.bound]
+	return s.buf()
 }
 
 // BoundComplete is Bound for a capture that outlives a wait (Cond
@@ -184,19 +242,16 @@ func (s *Site) BoundComplete(l siteOwner) []uintptr {
 	if rt.cfg.Mode != ModeOff {
 		s.bound = rt.cfg.captureDepth
 	}
-	return s.pcs[:s.bound]
+	return s.buf()
 }
 
-// Walk records into buf (s's own, from Bound) the raw PCs of the caller
-// of the function it is called from, and outward: s.Walk(s.Bound(l)) in
-// an entry point's body starts at the application's frame. It must run
-// in the entry point's own body and inline there, since every frame it
-// added would be unwound too; that is why it calls runtime.Callers
-// directly rather than through stack.CapturePCs, which would take it
-// over the inlining budget. An empty buf walks nothing.
-func (s *Site) Walk(buf []uintptr) {
-	// Skips runtime.Callers, Walk and the entry point.
-	s.n = runtime.Callers(3, buf)
+// buf is the buffer Bound sized: the bound plus walkSlack, or empty when
+// nothing walks.
+func (s *Site) buf() []uintptr {
+	if s.bound == 0 {
+		return nil
+	}
+	return s.pcs[:s.bound+walkSlack]
 }
 
 // siteHook, when set, observes the PCs every acquisition is handed (see
@@ -225,11 +280,25 @@ func ObserveGuarded(fn func(in *stack.Interned)) (restore func()) {
 	return func() { guardedHook.Store(nil) }
 }
 
+// captureHook, when set, is called on every captureStack (see
+// ObserveCaptures).
+var captureHook atomic.Pointer[func()]
+
+// ObserveCaptures makes every capture from inside the lock path
+// (captureStack) call fn, until restore runs. It exists to test that a
+// warm call site is classified from its entry point's walk alone.
+func ObserveCaptures(fn func()) (restore func()) {
+	captureHook.Store(&fn)
+	return func() { captureHook.Store(nil) }
+}
+
 // captureStack records the caller's call stack with Dimmunix's own frames
 // stripped, so the innermost frame is the application's lock call site —
 // the Go analog of the paper's return-address stacks. It is the capture
 // from inside the lock path, for the acquisitions whose entry-point walk
-// cannot serve (Thread.classify).
+// cannot serve (Thread.classify), and the reference every walk's key is
+// checked against before it is stored. It walks with runtime.Callers,
+// whose PCs are logical frames.
 //
 // The symbolization/strip/intern pipeline is memoized by raw PC stack
 // (Runtime.pcCache): after the first occurrence of a call path, a capture
@@ -240,6 +309,9 @@ func ObserveGuarded(fn func(in *stack.Interned)) (restore func()) {
 // symbolization, and the capture bounds allow for however many of them it
 // has observed.
 func (t *Thread) captureStack(extraSkip int) *stack.Interned {
+	if h := captureHook.Load(); h != nil {
+		(*h)()
+	}
 	var pcbuf [stack.MaxCaptureDepth + 2]uintptr
 	for {
 		bound := t.rt.fullBound(int(t.rt.wrapDepth.Load()))
@@ -252,9 +324,9 @@ func (t *Thread) captureStack(extraSkip int) *stack.Interned {
 	}
 }
 
-// internPCs maps a raw PC stack captured under bound to its interned
-// frame stack: pcCache hit, or the full symbolize/strip/truncate/intern
-// pipeline, memoized into the pcCache.
+// internPCs maps a raw PC stack runtime.Callers captured under bound to
+// its interned frame stack: pcCache hit, or the full
+// symbolize/strip/truncate/intern pipeline, memoized into the pcCache.
 // Stripping is where a stack's wrapper depth — the number of Dimmunix
 // frames above the application's call site — is observed; it is folded
 // into Runtime.wrapDepth here, before the stack can enter the pcCache, so
@@ -262,20 +334,12 @@ func (t *Thread) captureStack(extraSkip int) *stack.Interned {
 // return. When the walk filled a bound that left the application fewer
 // than captureDepth frames, outer frames may have been cut off: internPCs
 // then returns nil and the caller captures again under the raised bound.
-// An entry point's complete walk has no Dimmunix frame to strip.
 func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 	rt := t.rt
 	if in, ok := rt.pcCache.Get(pcs); ok {
 		return in
 	}
-	raw := stack.ResolvePCs(pcs, bound)
-	i := 0
-	for i < len(raw) && isRuntimeFrame(raw[i]) {
-		i++
-	}
-	if i == len(raw) {
-		i = 0 // no application frame in sight: keep the stack whole
-	}
+	s, i := appFrames(pcs, bound)
 	for {
 		w := rt.wrapDepth.Load()
 		if int(w) >= i || rt.wrapDepth.CompareAndSwap(w, int32(i)) {
@@ -285,7 +349,6 @@ func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 	if len(pcs) == bound && bound < stack.MaxCaptureDepth && bound-i < rt.cfg.captureDepth {
 		return nil
 	}
-	s := raw[i:]
 	if len(s) > rt.cfg.captureDepth {
 		s = s[:rt.cfg.captureDepth]
 	}
@@ -294,11 +357,27 @@ func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 	return in
 }
 
+// appFrames resolves a raw PC stack into at most max frames and strips
+// Dimmunix's own leading frames (isRuntimeFrame), returning the
+// application's frames and how many were stripped. A stack with no
+// application frame in sight is kept whole.
+func appFrames(pcs []uintptr, max int) (stack.Stack, int) {
+	raw := stack.ResolvePCs(pcs, max)
+	i := 0
+	for i < len(raw) && isRuntimeFrame(raw[i]) {
+		i++
+	}
+	if i == len(raw) {
+		i = 0
+	}
+	return raw[i:], i
+}
+
 // classify maps an entry point's walk to the caller's interned stack and
 // whether the stack is provably safe (so the caller may take the
 // lock-free fast tier). It never walks on the steady-state path.
 //
-// A walk that ended inside its bound, or was bounded complete (epoch 0:
+// A walk that ended inside its buffer, or was bounded complete (epoch 0:
 // fast tier off, a Cond wait, or a lock whose tier hint says its last
 // acquisition was guarded — see Site.Bound), is a complete capture: the
 // call-site table (Runtime.pcCache) maps it to the exact stack, valid
@@ -307,21 +386,23 @@ func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 // call paths sharing those frames: same verdict (it depends only on
 // frames the key covers), possibly different outer frames. Either way
 // the verdict is the epoch marker on the interned stack found there
-// (Cache.ClassifySafe), for every thread alike. Three rules keep bounded
-// keys sound:
+// (Cache.ClassifySafe), for every thread alike. Three rules keep keys
+// sound:
 //
 //   - a bounded key never feeds the guarded tier, whose §5.4 matching
-//     and archival need the exact deep frames: a miss or a dangerous
-//     verdict recaptures the full stack from inside (captureStack). A
-//     hinted lock's walk is complete, so it is never recaptured;
+//     and archival need the exact deep frames: a dangerous verdict
+//     recaptures the full stack from inside (captureStack). A hinted
+//     lock's walk is complete, so it is never recaptured;
 //   - an epoch move invalidates a bounded key (the new index may need
 //     deeper frames than it covers): the entry answers only at the epoch
 //     of the view that bounded the walk, and the recapture replaces it
 //     in place;
-//   - a key is stored only if its innermost frame is the recaptured
-//     stack's — the application's call site — so it covers as many
-//     application frames as the verdict reads. Checked on the miss, never
-//     on a hit.
+//   - a miss recaptures the stack (captureStack, runtime.Callers), and
+//     the walk's key is stored only if it resolves to what the recapture
+//     found, as far as the key answers for (keyCovers). So every stack
+//     the table hands out is the one runtime.Callers gives, whatever
+//     wrapper or inlined frames the physical walk met. Checked on the
+//     miss, never on a hit.
 //
 // The epoch and bound come from one index load before the walk, so a
 // concurrent index publish at worst leaves an entry stamped with the
@@ -339,34 +420,49 @@ func (t *Thread) classify(s *Site) (*stack.Interned, bool) {
 		return t.captureClassified(1)
 	}
 	pcs := s.pcs[:s.n]
-	if s.epoch == 0 || len(pcs) < s.bound {
-		in := t.internPCs(pcs, rt.cfg.captureDepth)
-		if in == nil {
-			// The walk started inside Dimmunix and the bound cut the
-			// application short: recapture.
-			in = t.captureStack(1)
-		}
-		return in, cache.FastOK() && cache.ClassifySafe(in)
+	cut := s.n == len(s.buf()) // the stack may go on past the walk
+	epoch := s.epoch
+	if !cut {
+		epoch = 0
 	}
-	if in, ok := rt.pcCache.GetAt(pcs, s.epoch); ok {
-		if cache.ClassifySafe(in) {
-			return in, true
+	if in, ok := rt.pcCache.GetAt(pcs, epoch); ok {
+		safe := cache.FastOK() && cache.ClassifySafe(in)
+		if safe || epoch == 0 {
+			return in, safe
 		}
 		return t.captureStack(1), false
 	}
 	in := t.captureStack(1)
-	if f := stack.ResolvePCs(pcs[:1], 1); len(f) == 1 && len(in.S) > 0 && f[0] == in.S[0] {
-		rt.pcCache.PutAt(pcs, in, s.epoch)
+	if t.keyCovers(pcs, in, cut, s.bound) {
+		rt.pcCache.PutAt(pcs, in, epoch)
 	}
-	return in, cache.ClassifySafe(in)
+	return in, cache.FastOK() && cache.ClassifySafe(in)
+}
+
+// keyCovers reports whether a walk's PCs resolve to the recaptured stack
+// in as far as their key answers for it. A walk that ended inside its
+// buffer is a complete key: its application frames, cut to captureDepth,
+// must be in's. So must those of a walk that filled its buffer at the
+// very bottom of a stack shorter than its bound. Any other walk that
+// filled its buffer must cover its bound: its first bound application
+// frames must be in's first bound frames. A filled walk that resolves to
+// fewer — the stack had more wrapper frames than walkSlack — is not
+// stored, and every acquisition from it is recaptured.
+func (t *Thread) keyCovers(pcs []uintptr, in *stack.Interned, cut bool, bound int) bool {
+	s, _ := appFrames(pcs, stack.MaxCaptureDepth)
+	if !cut || len(in.S) < bound {
+		return s.Suffix(t.rt.cfg.captureDepth).Equal(in.S)
+	}
+	return len(s) >= bound && s[:bound].Equal(in.S[:bound])
 }
 
 // captureClassified walks and classifies the caller's call site from
 // wherever it is called, extraSkip frames further out, under t's runtime's
 // view. Entry points walk in their own body instead; this is the capture
-// for an acquisition whose entry walk t's runtime cannot classify. Its
-// skip is not exact, which classify keeps sound: a key whose innermost
-// frame is Dimmunix's is never stored, and a complete walk is stripped.
+// for an acquisition whose entry walk t's runtime cannot classify. It
+// walks with runtime.Callers, and its skip is not exact, which classify
+// keeps sound: a key is stored only if, Dimmunix's frames stripped, it
+// still covers what it answers for (keyCovers).
 func (t *Thread) captureClassified(extraSkip int) (*stack.Interned, bool) {
 	var s Site
 	s.n = stack.CapturePCs(extraSkip+1, s.Bound(t))

@@ -60,11 +60,12 @@ const MaxCaptureDepth = 32
 // CapturePCs records up to len(buf) raw return PCs of the calling
 // goroutine into buf, skipping skip frames above CapturePCs itself
 // (skip=0 makes the caller of CapturePCs the innermost entry), and
-// returns the number recorded. This is the one primitive every Dimmunix
-// stack capture goes through; the buffer length is the capture bound, so
-// a shallow classification walk and a full archival walk differ only in
-// the slice they pass. Frames are logical, as runtime.Callers counts
-// them: inlined calls count, compiler-generated wrappers do not.
+// returns the number recorded. Capture and every capture from inside
+// Dimmunix's lock path go through it; the buffer length is the capture
+// bound. Frames are logical, as runtime.Callers counts them: inlined
+// calls count, compiler-generated wrappers do not. (An acquisition entry
+// point walks its own caller's frames instead, by frame pointers where it
+// can: core.Site.Walk.)
 func CapturePCs(skip int, buf []uintptr) int {
 	// +2 skips runtime.Callers and CapturePCs itself.
 	return runtime.Callers(skip+2, buf)
@@ -84,9 +85,14 @@ func Capture(skip, max int) Stack {
 	return ResolvePCs(pcs[:n], max)
 }
 
-// ResolvePCs expands a raw PC stack (as recorded by runtime.Callers) into
-// at most max normalized frames. Resolution is deterministic: identical
-// PC stacks always produce identical frames (inline expansion included),
+// ResolvePCs expands a raw PC stack into at most max normalized frames,
+// the frames runtime.Callers would report for the same call path. It
+// accepts runtime.Callers' logical PCs and a frame-pointer walk's physical
+// return PCs alike: runtime.CallersFrames recovers the inlined frames a
+// physical PC stands for, and ResolvePCs drops the compiler-generated
+// wrapper frames runtime.Callers elides (see wrapperFrame), which a
+// physical walk records like any other frame. Resolution is
+// deterministic: identical PC stacks always produce identical frames,
 // which is what makes PCCache sound.
 func ResolvePCs(pcs []uintptr, max int) Stack {
 	if len(pcs) == 0 {
@@ -104,7 +110,7 @@ func ResolvePCs(pcs []uintptr, max int) Stack {
 	s := make(Stack, 0, len(pcs))
 	for {
 		fr, more := frames.Next()
-		if fr.Function != "" {
+		if fr.Function != "" && !wrapperFrame(fr) {
 			s = append(s, Frame{
 				Func: fr.Function,
 				File: baseName(fr.File),
@@ -116,6 +122,35 @@ func ResolvePCs(pcs []uintptr, max int) Stack {
 		}
 	}
 	return s
+}
+
+// wrapperFrame reports whether fr is a compiler-generated wrapper, which
+// runtime.Callers leaves out of its PCs: a method value's ("…-fm"), a
+// promoted or pointer-receiver method's and an ABI wrapper (all in
+// "<autogenerated>"), and the closures a go or defer statement with
+// arguments compiles to ("….gowrapN", "….deferwrapN"). The runtime hides
+// runtime.deferreturn, which runs a function's deferred calls where they
+// are not open-coded (as in a build without optimizations), the same way.
+func wrapperFrame(fr runtime.Frame) bool {
+	if fr.File == "<autogenerated>" || fr.Function == "runtime.deferreturn" || strings.HasSuffix(fr.Function, "-fm") {
+		return true
+	}
+	name := fr.Function[strings.LastIndexByte(fr.Function, '.')+1:]
+	return numbered(name, "gowrap") || numbered(name, "deferwrap")
+}
+
+// numbered reports whether name is prefix followed by a decimal number.
+func numbered(name, prefix string) bool {
+	digits, ok := strings.CutPrefix(name, prefix)
+	if !ok || digits == "" {
+		return false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 func baseName(path string) string {

@@ -105,11 +105,14 @@ func (b *binder[L]) core(newLock func(*Runtime) L) L {
 // Every acquisition method walks its caller's call site in its own body
 // (core.Site) before do, and hands do a closure. A retry runs under the
 // fresh runtime, which does not classify a walk bounded by another
-// runtime's view and captures from inside instead; the methods are marked
-// noinline so that capture can strip the closure: a closure of a function
-// inlined into application code is compiled under the application
-// function's name, which call-site stripping (core.isRuntimeFrame) could
-// not tell from the application.
+// runtime's view and captures from inside instead. The methods are marked
+// noinline for two reasons. The walk reaches the application's frame by a
+// fixed number of frame-pointer hops from the entry point's own frame
+// (core.Site.Walk), which an entry point inlined into the application
+// would not have. And that capture must strip the closure: a closure of a
+// function inlined into application code is compiled under the
+// application function's name, which call-site stripping
+// (core.isRuntimeFrame) could not tell from the application.
 func (b *binder[L]) do(c L, newLock func(*Runtime) L, op func(L) error) error {
 	for {
 		err := op(c)

@@ -9,6 +9,7 @@ package dimmunix_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,7 +17,6 @@ import (
 	"time"
 
 	"dimmunix"
-	"dimmunix/internal/signature"
 	"dimmunix/internal/stack"
 )
 
@@ -24,6 +24,7 @@ import (
 // over. Everything binds to the default runtime of the running subtest.
 type pipeEnv struct {
 	mu   dimmunix.Mutex
+	em   embedsMutex
 	rw   dimmunix.RWMutex
 	cond *dimmunix.Cond
 	cmu  *dimmunix.CoreMutex
@@ -70,13 +71,39 @@ func signalUntil(signal func()) (stop func()) {
 // pipeEntry is one public acquisition entry point. acquire performs
 // exactly one acquisition through it (recording e.line first) and
 // release undoes it; prep, when set, runs outside the measured window
-// (Cond waits need their mutex held).
+// (Cond waits need their mutex held). above counts the application
+// frames acquire's call line sits in above acquire itself (a helper
+// function acquire calls); spawn runs each acquisition, and everything
+// around it, on a goroutine of its own started by a go statement with
+// arguments.
 type pipeEntry struct {
 	name    string
 	prep    func(e *pipeEnv)
 	acquire func(e *pipeEnv) error
 	release func(e *pipeEnv)
+	above   int
+	spawn   bool
 }
+
+// topAt is the index of the pipeTop frame in a stack captured at p's call
+// line: the call line's frame, the frames above, then pipeMid and
+// pipeOuter.
+func (p pipeEntry) topAt() int { return 3 + p.above }
+
+// embedsMutex reaches Mutex.Lock through a promoted method: a
+// sync.Locker holding one dispatches to the compiler-generated
+// (*embedsMutex).Lock wrapper.
+type embedsMutex struct{ dimmunix.Mutex }
+
+// lockInlined is small enough for the compiler to inline into its
+// caller. Its one line is its Lock call's.
+func lockInlined(e *pipeEnv) { e.mu.Lock() }
+
+var lockInlinedLine = func() int {
+	f := runtime.FuncForPC(reflect.ValueOf(lockInlined).Pointer())
+	_, line := f.FileLine(f.Entry())
+	return line
+}()
 
 var errTryFailed = errors.New("try acquisition found the lock busy")
 
@@ -120,6 +147,32 @@ var pipeEntries = []pipeEntry{
 		f := e.mu.Lock
 		e.line = nextLine()
 		f()
+		return nil
+	}, release: func(e *pipeEnv) { e.mu.Unlock() }},
+	// Shapes where a frame-pointer walk and runtime.Callers see different
+	// frames: an application function inlined into its caller (one
+	// physical frame, two logical ones), a promoted method's wrapper, the
+	// wrapper of a go statement with arguments below the application's
+	// frames, and a deferred call's wrapper.
+	{name: "Mutex.Lock.inlinedCaller", above: 1, acquire: func(e *pipeEnv) error {
+		e.line = lockInlinedLine
+		lockInlined(e)
+		return nil
+	}, release: func(e *pipeEnv) { e.mu.Unlock() }},
+	{name: "Mutex.Lock.viaPromotedMethod", acquire: func(e *pipeEnv) error {
+		var l sync.Locker = &e.em
+		e.line = nextLine()
+		l.Lock()
+		return nil
+	}, release: func(e *pipeEnv) { e.em.Unlock() }},
+	{name: "Mutex.Lock.onGoroutineWithArgs", spawn: true, acquire: func(e *pipeEnv) error {
+		e.line = nextLine()
+		e.mu.Lock()
+		return nil
+	}, release: func(e *pipeEnv) { e.mu.Unlock() }},
+	{name: "Mutex.Lock.deferred", acquire: func(e *pipeEnv) error {
+		defer e.mu.Lock()
+		e.line = nextLine() // a deferred call returns to its function's exit
 		return nil
 	}, release: func(e *pipeEnv) { e.mu.Unlock() }},
 
@@ -338,21 +391,62 @@ func driveEntry(t *testing.T, rt *dimmunix.Runtime, p pipeEntry, top func(*pipeE
 		e.th = rt.RegisterThread(p.name)
 		defer e.th.Close()
 		for _, top := range append(warm, top) {
-			if p.prep != nil {
-				p.prep(e)
-			}
-			before := rt.Stats()
-			if err := top(e, p.acquire); err != nil {
-				t.Errorf("%s: acquisition failed: %v", p.name, err)
+			if !p.spawn {
+				fast, guarded = driveOnce(t, rt, p, e, top)
 				continue
 			}
-			after := rt.Stats()
-			fast, guarded = after.FastAcquired-before.FastAcquired, after.GuardedAcquired-before.GuardedAcquired
-			p.release(e)
+			done := make(chan struct{})
+			go driveSpawned(t, rt, p, e, top, &fast, &guarded, done)
+			<-done
 		}
 	}()
 	wg.Wait()
 	return e, fast, guarded
+}
+
+// driveOnce runs one acquisition of p through top and releases it, and
+// returns the stats movement of the acquisition.
+func driveOnce(t *testing.T, rt *dimmunix.Runtime, p pipeEntry, e *pipeEnv, top func(*pipeEnv, func(*pipeEnv) error) error) (fast, guarded uint64) {
+	if p.prep != nil {
+		p.prep(e)
+	}
+	before := rt.Stats()
+	if err := top(e, p.acquire); err != nil {
+		t.Errorf("%s: acquisition failed: %v", p.name, err)
+		return 0, 0
+	}
+	after := rt.Stats()
+	p.release(e)
+	return after.FastAcquired - before.FastAcquired, after.GuardedAcquired - before.GuardedAcquired
+}
+
+// driveSpawned is driveOnce at the bottom of a goroutine of its own.
+func driveSpawned(t *testing.T, rt *dimmunix.Runtime, p pipeEntry, e *pipeEnv, top func(*pipeEnv, func(*pipeEnv) error) error, fast, guarded *uint64, done chan<- struct{}) {
+	defer close(done)
+	*fast, *guarded = driveOnce(t, rt, p, e, top)
+}
+
+// forEachEntry runs check on every pipeEntries row, one subtest each.
+func forEachEntry(t *testing.T, check func(*testing.T, pipeEntry)) {
+	for _, p := range pipeEntries {
+		t.Run(p.name, func(t *testing.T) { check(t, p) })
+	}
+}
+
+// pipeChecks are the properties every pipeEntries row is tested for, one
+// test each (TestEntryPointCallSite and the rest): TestCallersWalkFallback
+// runs them all again with the process walking by runtime.Callers.
+var pipeChecks = []struct {
+	name  string
+	check func(*testing.T, pipeEntry)
+}{
+	{"EntryPointCallSite", checkEntryPointCallSite},
+	{"FastTierNeverAliasesDangerousPath", checkFastTierNeverAliasesDangerousPath},
+	{"EntryPointsHandDownCallSite", checkEntryPointsHandDownCallSite},
+	{"ModeOffNeverWalks", checkModeOffNeverWalks},
+	{"HintedWalkIsTheCapturedStack", checkHintedWalkIsTheCapturedStack},
+	{"GuardedHintFromSafeSiteTakesFastTier", checkGuardedHintFromSafeSiteTakesFastTier},
+	{"FastHintSeesArchive", checkFastHintSeesArchive},
 }
 
 // capturedAt returns a stack rt captured whose innermost frame is line of
@@ -370,26 +464,24 @@ func capturedAt(rt *dimmunix.Runtime, line int) stack.Stack {
 // point, that the innermost frame of the captured stack is the test's
 // own call line: every Dimmunix frame in between — however the lock path
 // is layered — was stripped, and nothing of the application was.
-func TestEntryPointCallSite(t *testing.T) {
-	for _, p := range pipeEntries {
-		t.Run(p.name, func(t *testing.T) {
-			initDefault(t)
-			rt := dimmunix.Default()
-			e, _, _ := driveEntry(t, rt, p, pipeTopA)
-			s := capturedAt(rt, e.line)
-			if s == nil {
-				var sites []string
-				for _, c := range rt.CapturedStacks() {
-					sites = append(sites, c[0].String())
-				}
-				t.Fatalf("no captured stack has the acquisition call (pipeline_test.go:%d) as its innermost frame; call sites seen: %v", e.line, sites)
-			}
-			for i, want := range []string{"pipeMid", "pipeOuter", "pipeTopA"} {
-				if len(s) <= i+1 || !strings.HasSuffix(s[i+1].Func, want) {
-					t.Fatalf("frame %d above the call site is not %s:\n%v", i+1, want, s)
-				}
-			}
-		})
+func TestEntryPointCallSite(t *testing.T) { forEachEntry(t, checkEntryPointCallSite) }
+
+func checkEntryPointCallSite(t *testing.T, p pipeEntry) {
+	initDefault(t)
+	rt := dimmunix.Default()
+	e, _, _ := driveEntry(t, rt, p, pipeTopA)
+	s := capturedAt(rt, e.line)
+	if s == nil {
+		var sites []string
+		for _, c := range rt.CapturedStacks() {
+			sites = append(sites, c[0].String())
+		}
+		t.Fatalf("no captured stack has the acquisition call (pipeline_test.go:%d) as its innermost frame; call sites seen: %v", e.line, sites)
+	}
+	for i, want := range []string{"pipeMid", "pipeOuter", "pipeTopA"} {
+		if at := p.topAt() - 2 + i; len(s) <= at || !strings.HasSuffix(s[at].Func, want) {
+			t.Fatalf("frame %d above the call site is not %s:\n%v", at, want, s)
+		}
 	}
 }
 
@@ -400,31 +492,26 @@ func TestEntryPointCallSite(t *testing.T) {
 // fast tier on pipeTopB's cached verdict, whichever entry point (and
 // therefore however deep a ladder of Dimmunix frames) it goes through.
 func TestFastTierNeverAliasesDangerousPath(t *testing.T) {
-	for _, p := range pipeEntries {
-		t.Run(p.name, func(t *testing.T) {
-			initDefault(t, dimmunix.WithMatchDepth(4))
-			rt := dimmunix.Default()
+	forEachEntry(t, checkFastTierNeverAliasesDangerousPath)
+}
 
-			// Learn the dangerous path's real stack, then archive it next
-			// to a stack nobody has, so the signature makes the path
-			// dangerous without ever being instantiated.
-			e, _, _ := driveEntry(t, rt, p, pipeTopA)
-			sA := capturedAt(rt, e.line)
-			if len(sA) < 4 || !strings.HasSuffix(sA[3].Func, "pipeTopA") {
-				t.Fatalf("could not find the pipeTopA stack of line %d: %v", e.line, sA)
-			}
-			other := stack.Stack{{Func: "nobody.lock", File: "nobody.go", Line: 1}, {Func: "nobody.main", File: "nobody.go", Line: 2}}
-			rt.History().Add(signature.New(signature.Deadlock, []stack.Stack{sA, other}, 4))
+func checkFastTierNeverAliasesDangerousPath(t *testing.T, p pipeEntry) {
+	initDefault(t, dimmunix.WithMatchDepth(4))
+	rt := dimmunix.Default()
 
-			if _, fast, guarded := driveEntry(t, rt, p, pipeTopB); fast != 1 || guarded != 0 {
-				t.Fatalf("safe path pipeTopB: fast=%d guarded=%d, want the fast tier", fast, guarded)
-			}
-			if _, fast, guarded := driveEntry(t, rt, p, pipeTopA, pipeTopB); fast != 0 || guarded != 1 {
-				t.Fatalf("dangerous path pipeTopA after warming pipeTopB: fast=%d guarded=%d — the fast tier bypassed an enabled signature", fast, guarded)
-			}
-			if _, fast, guarded := driveEntry(t, rt, p, pipeTopA); fast != 0 || guarded != 1 {
-				t.Fatalf("dangerous path pipeTopA cold: fast=%d guarded=%d, want the guarded tier", fast, guarded)
-			}
-		})
+	// Learn the dangerous path's real stack, then archive it next
+	// to a stack nobody has, so the signature makes the path
+	// dangerous without ever being instantiated.
+	_, archive := learnPipeTopA(t, rt, p)
+	archive()
+
+	if _, fast, guarded := driveEntry(t, rt, p, pipeTopB); fast != 1 || guarded != 0 {
+		t.Fatalf("safe path pipeTopB: fast=%d guarded=%d, want the fast tier", fast, guarded)
+	}
+	if _, fast, guarded := driveEntry(t, rt, p, pipeTopA, pipeTopB); fast != 0 || guarded != 1 {
+		t.Fatalf("dangerous path pipeTopA after warming pipeTopB: fast=%d guarded=%d — the fast tier bypassed an enabled signature", fast, guarded)
+	}
+	if _, fast, guarded := driveEntry(t, rt, p, pipeTopA); fast != 0 || guarded != 1 {
+		t.Fatalf("dangerous path pipeTopA cold: fast=%d guarded=%d, want the guarded tier", fast, guarded)
 	}
 }

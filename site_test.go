@@ -33,9 +33,15 @@ func observeSites(t *testing.T) func() [][]uintptr {
 	}
 }
 
-// firstFrame resolves the innermost frame of a raw PC stack.
-func firstFrame(pcs []uintptr) runtime.Frame {
-	f, _ := runtime.CallersFrames(pcs[:1]).Next()
+// firstFrame resolves the innermost frame of a raw PC stack past the
+// compiler-generated wrappers runtime.Callers elides, as the call-site
+// table does (stack.ResolvePCs): an entry point's walk is physical, and
+// the first PC of a lock taken through a method value is its wrapper's.
+func firstFrame(pcs []uintptr) stack.Frame {
+	var f stack.Frame
+	if s := stack.ResolvePCs(pcs, 1); len(s) == 1 {
+		f = s[0]
+	}
 	return f
 }
 
@@ -43,50 +49,46 @@ func firstFrame(pcs []uintptr) runtime.Frame {
 // walks from its caller's frame, so the first PC the pipeline is handed
 // resolves to the test's own acquisition line — and no acquisition is
 // handed a walk that starts inside Dimmunix.
-func TestEntryPointsHandDownCallSite(t *testing.T) {
-	for _, p := range pipeEntries {
-		t.Run(p.name, func(t *testing.T) {
-			initDefault(t)
-			rt := dimmunix.Default()
-			sites := observeSites(t)
-			e, _, _ := driveEntry(t, rt, p, pipeTopA)
-			found := false
-			for _, pcs := range sites() {
-				if len(pcs) == 0 {
-					t.Fatal("an acquisition was handed no PCs")
-				}
-				f := firstFrame(pcs)
-				if !strings.HasSuffix(f.File, "_test.go") {
-					t.Errorf("an acquisition was handed a walk starting at %s (%s:%d), not at the application", f.Function, f.File, f.Line)
-				}
-				if strings.HasSuffix(f.File, "/pipeline_test.go") && f.Line == e.line {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("no acquisition was handed PCs starting at pipeline_test.go:%d", e.line)
-			}
-		})
+func TestEntryPointsHandDownCallSite(t *testing.T) { forEachEntry(t, checkEntryPointsHandDownCallSite) }
+
+func checkEntryPointsHandDownCallSite(t *testing.T, p pipeEntry) {
+	initDefault(t)
+	rt := dimmunix.Default()
+	sites := observeSites(t)
+	e, _, _ := driveEntry(t, rt, p, pipeTopA)
+	found := false
+	for _, pcs := range sites() {
+		if len(pcs) == 0 {
+			t.Fatal("an acquisition was handed no PCs")
+		}
+		f := firstFrame(pcs)
+		if !strings.HasSuffix(f.File, "_test.go") {
+			t.Errorf("an acquisition was handed a walk starting at %s, not at the application", f)
+		}
+		if f.File == "pipeline_test.go" && f.Line == e.line {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("no acquisition was handed PCs starting at pipeline_test.go:%d", e.line)
 	}
 }
 
 // TestModeOffNeverWalks: with Dimmunix off, no entry point walks.
-func TestModeOffNeverWalks(t *testing.T) {
-	for _, p := range pipeEntries {
-		t.Run(p.name, func(t *testing.T) {
-			initDefault(t, dimmunix.WithConfig(dimmunix.Config{Mode: dimmunix.ModeOff}))
-			sites := observeSites(t)
-			driveEntry(t, dimmunix.Default(), p, pipeTopA)
-			got := sites()
-			if len(got) == 0 {
-				t.Fatal("no acquisition observed")
-			}
-			for _, pcs := range got {
-				if len(pcs) != 0 {
-					t.Fatalf("ModeOff acquisition walked %d frames", len(pcs))
-				}
-			}
-		})
+func TestModeOffNeverWalks(t *testing.T) { forEachEntry(t, checkModeOffNeverWalks) }
+
+func checkModeOffNeverWalks(t *testing.T, p pipeEntry) {
+	initDefault(t, dimmunix.WithConfig(dimmunix.Config{Mode: dimmunix.ModeOff}))
+	sites := observeSites(t)
+	driveEntry(t, dimmunix.Default(), p, pipeTopA)
+	got := sites()
+	if len(got) == 0 {
+		t.Fatal("no acquisition observed")
+	}
+	for _, pcs := range got {
+		if len(pcs) != 0 {
+			t.Fatalf("ModeOff acquisition walked %d frames", len(pcs))
+		}
 	}
 }
 
@@ -242,7 +244,7 @@ func lastWalkAt(t *testing.T, sites [][]uintptr, line int) []runtime.Frame {
 		if len(pcs) == 0 {
 			continue
 		}
-		if f := firstFrame(pcs); !strings.HasSuffix(f.File, "/pipeline_test.go") || f.Line != line {
+		if f := firstFrame(pcs); f.File != "pipeline_test.go" || f.Line != line {
 			continue
 		}
 		last = last[:0]
@@ -268,17 +270,19 @@ func complete(walk []runtime.Frame) bool {
 }
 
 // learnPipeTopA learns p's pipeTopA stack on rt and returns it with a
-// function that archives it next to a stack nobody has: the path becomes
-// dangerous without ever being instantiated.
+// function that archives it next to a stack nobody has, as deep as the
+// pipeTopA frame: the path becomes dangerous without ever being
+// instantiated, and the pipeTopB path stays safe.
 func learnPipeTopA(t *testing.T, rt *dimmunix.Runtime, p pipeEntry) (sA stack.Stack, archive func()) {
 	t.Helper()
 	e, _, _ := driveEntry(t, rt, p, pipeTopA)
 	sA = capturedAt(rt, e.line)
-	if len(sA) < 4 || !strings.HasSuffix(sA[3].Func, "pipeTopA") {
+	at := p.topAt()
+	if len(sA) <= at || !strings.HasSuffix(sA[at].Func, "pipeTopA") {
 		t.Fatalf("could not find the pipeTopA stack of line %d: %v", e.line, sA)
 	}
 	other := stack.Stack{{Func: "nobody.lock", File: "nobody.go", Line: 1}, {Func: "nobody.main", File: "nobody.go", Line: 2}}
-	return sA, func() { rt.History().Add(signature.New(signature.Deadlock, []stack.Stack{sA, other}, 4)) }
+	return sA, func() { rt.History().Add(signature.New(signature.Deadlock, []stack.Stack{sA, other}, at+1)) }
 }
 
 // TestHintedWalkIsTheCapturedStack: once an acquisition of a lock from a
@@ -287,31 +291,31 @@ func learnPipeTopA(t *testing.T, rt *dimmunix.Runtime, p pipeEntry) (sA stack.St
 // request the very interned stack the first acquisition recaptured from
 // inside the lock path — on every entry point.
 func TestHintedWalkIsTheCapturedStack(t *testing.T) {
-	for _, p := range pipeEntries {
-		t.Run(p.name, func(t *testing.T) {
-			initDefault(t, dimmunix.WithMatchDepth(4))
-			rt := dimmunix.Default()
-			sA, archive := learnPipeTopA(t, rt, p)
-			archive()
-			sites, guardedAt := observeSites(t), observeGuarded(t)
-			e, fast, guarded := driveEntry(t, rt, p, pipeTopA, pipeTopA)
-			if fast != 0 || guarded != 1 {
-				t.Fatalf("hinted acquisition: fast=%d guarded=%d, want the guarded tier", fast, guarded)
-			}
-			ins := guardedAt(e.line)
-			if len(ins) != 2 {
-				t.Fatalf("%d guarded requests from line %d, want 2 (recaptured, then hinted)", len(ins), e.line)
-			}
-			if ins[0] != ins[1] {
-				t.Fatalf("the hinted walk requested with %v, the recapture with %v", ins[1].S, ins[0].S)
-			}
-			if !ins[1].S.Equal(sA) {
-				t.Fatalf("guarded request with %v, want the full stack %v", ins[1].S, sA)
-			}
-			if walk := lastWalkAt(t, sites(), e.line); !complete(walk) {
-				t.Fatalf("the hinted entry point walked %d frames, not its whole stack", len(walk))
-			}
-		})
+	forEachEntry(t, checkHintedWalkIsTheCapturedStack)
+}
+
+func checkHintedWalkIsTheCapturedStack(t *testing.T, p pipeEntry) {
+	initDefault(t, dimmunix.WithMatchDepth(4))
+	rt := dimmunix.Default()
+	sA, archive := learnPipeTopA(t, rt, p)
+	archive()
+	sites, guardedAt := observeSites(t), observeGuarded(t)
+	e, fast, guarded := driveEntry(t, rt, p, pipeTopA, pipeTopA)
+	if fast != 0 || guarded != 1 {
+		t.Fatalf("hinted acquisition: fast=%d guarded=%d, want the guarded tier", fast, guarded)
+	}
+	ins := guardedAt(e.line)
+	if len(ins) != 2 {
+		t.Fatalf("%d guarded requests from line %d, want 2 (recaptured, then hinted)", len(ins), e.line)
+	}
+	if ins[0] != ins[1] {
+		t.Fatalf("the hinted walk requested with %v, the recapture with %v", ins[1].S, ins[0].S)
+	}
+	if !ins[1].S.Equal(sA) {
+		t.Fatalf("guarded request with %v, want the full stack %v", ins[1].S, sA)
+	}
+	if walk := lastWalkAt(t, sites(), e.line); !complete(walk) {
+		t.Fatalf("the hinted entry point walked %d frames, not its whole stack", len(walk))
 	}
 }
 
@@ -320,21 +324,21 @@ func TestHintedWalkIsTheCapturedStack(t *testing.T) {
 // from a call site no signature covers, walks that site completely and
 // takes the fast tier.
 func TestGuardedHintFromSafeSiteTakesFastTier(t *testing.T) {
-	for _, p := range pipeEntries {
-		t.Run(p.name, func(t *testing.T) {
-			initDefault(t, dimmunix.WithMatchDepth(4))
-			rt := dimmunix.Default()
-			_, archive := learnPipeTopA(t, rt, p)
-			archive()
-			sites := observeSites(t)
-			e, fast, guarded := driveEntry(t, rt, p, pipeTopB, pipeTopA)
-			if fast != 1 || guarded != 0 {
-				t.Fatalf("safe pipeTopB after a guarded pipeTopA: fast=%d guarded=%d, want the fast tier", fast, guarded)
-			}
-			if walk := lastWalkAt(t, sites(), e.line); !complete(walk) {
-				t.Fatalf("the hinted entry point walked %d frames, not its whole stack", len(walk))
-			}
-		})
+	forEachEntry(t, checkGuardedHintFromSafeSiteTakesFastTier)
+}
+
+func checkGuardedHintFromSafeSiteTakesFastTier(t *testing.T, p pipeEntry) {
+	initDefault(t, dimmunix.WithMatchDepth(4))
+	rt := dimmunix.Default()
+	_, archive := learnPipeTopA(t, rt, p)
+	archive()
+	sites := observeSites(t)
+	e, fast, guarded := driveEntry(t, rt, p, pipeTopB, pipeTopA)
+	if fast != 1 || guarded != 0 {
+		t.Fatalf("safe pipeTopB after a guarded pipeTopA: fast=%d guarded=%d, want the fast tier", fast, guarded)
+	}
+	if walk := lastWalkAt(t, sites(), e.line); !complete(walk) {
+		t.Fatalf("the hinted entry point walked %d frames, not its whole stack", len(walk))
 	}
 }
 
@@ -342,25 +346,23 @@ func TestGuardedHintFromSafeSiteTakesFastTier(t *testing.T) {
 // tier, next taken from a call site a signature archived in between
 // covers, takes the guarded tier with the exact full stack: the stale
 // hint costs the recapture, never the verdict.
-func TestFastHintSeesArchive(t *testing.T) {
-	for _, p := range pipeEntries {
-		t.Run(p.name, func(t *testing.T) {
-			initDefault(t, dimmunix.WithMatchDepth(4))
-			rt := dimmunix.Default()
-			sA, archive := learnPipeTopA(t, rt, p)
-			guardedAt := observeGuarded(t)
-			fastThenArchive := func(e *pipeEnv, acquire func(*pipeEnv) error) error {
-				defer archive()
-				return pipeTopA(e, acquire)
-			}
-			e, fast, guarded := driveEntry(t, rt, p, pipeTopA, fastThenArchive)
-			if fast != 0 || guarded != 1 {
-				t.Fatalf("pipeTopA after a mid-way archive: fast=%d guarded=%d, want the guarded tier", fast, guarded)
-			}
-			ins := guardedAt(e.line)
-			if len(ins) != 1 || !ins[0].S.Equal(sA) {
-				t.Fatalf("guarded requests from line %d: %v, want one with the full stack %v", e.line, ins, sA)
-			}
-		})
+func TestFastHintSeesArchive(t *testing.T) { forEachEntry(t, checkFastHintSeesArchive) }
+
+func checkFastHintSeesArchive(t *testing.T, p pipeEntry) {
+	initDefault(t, dimmunix.WithMatchDepth(4))
+	rt := dimmunix.Default()
+	sA, archive := learnPipeTopA(t, rt, p)
+	guardedAt := observeGuarded(t)
+	fastThenArchive := func(e *pipeEnv, acquire func(*pipeEnv) error) error {
+		defer archive()
+		return pipeTopA(e, acquire)
+	}
+	e, fast, guarded := driveEntry(t, rt, p, pipeTopA, fastThenArchive)
+	if fast != 0 || guarded != 1 {
+		t.Fatalf("pipeTopA after a mid-way archive: fast=%d guarded=%d, want the guarded tier", fast, guarded)
+	}
+	ins := guardedAt(e.line)
+	if len(ins) != 1 || !ins[0].S.Equal(sA) {
+		t.Fatalf("guarded requests from line %d: %v, want one with the full stack %v", e.line, ins, sA)
 	}
 }
