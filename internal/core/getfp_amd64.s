@@ -1,9 +1,11 @@
 #include "textflag.h"
 
-// func getfp() unsafe.Pointer
+// func getfp() (fp, gp unsafe.Pointer)
 //
 // NOFRAME: the stub saves no frame of its own, so BP is still its
 // caller's frame pointer.
-TEXT ·getfp(SB), NOSPLIT|NOFRAME, $0-8
-	MOVQ BP, ret+0(FP)
+TEXT ·getfp(SB), NOSPLIT|NOFRAME, $0-16
+	MOVQ BP, fp+0(FP)
+	MOVQ (TLS), AX
+	MOVQ AX, gp+8(FP)
 	RET

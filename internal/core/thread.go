@@ -336,10 +336,10 @@ func (t *Thread) captureStack(extraSkip int) *stack.Interned {
 // then returns nil and the caller captures again under the raised bound.
 func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 	rt := t.rt
-	if in, ok := rt.pcCache.Get(pcs); ok {
+	if in, ok := rt.pcCache.Get(pcs); ok && in != nil {
 		return in
 	}
-	s, i := appFrames(pcs, bound)
+	s, i := appFrames(stack.ResolvePCs(pcs, bound))
 	for {
 		w := rt.wrapDepth.Load()
 		if int(w) >= i || rt.wrapDepth.CompareAndSwap(w, int32(i)) {
@@ -357,12 +357,10 @@ func (t *Thread) internPCs(pcs []uintptr, bound int) *stack.Interned {
 	return in
 }
 
-// appFrames resolves a raw PC stack into at most max frames and strips
-// Dimmunix's own leading frames (isRuntimeFrame), returning the
-// application's frames and how many were stripped. A stack with no
-// application frame in sight is kept whole.
-func appFrames(pcs []uintptr, max int) (stack.Stack, int) {
-	raw := stack.ResolvePCs(pcs, max)
+// appFrames strips Dimmunix's own leading frames (isRuntimeFrame) from a
+// resolved stack, returning the application's frames and how many were
+// stripped. A stack with no application frame in sight is kept whole.
+func appFrames(raw stack.Stack) (stack.Stack, int) {
 	i := 0
 	for i < len(raw) && isRuntimeFrame(raw[i]) {
 		i++
@@ -402,7 +400,9 @@ func appFrames(pcs []uintptr, max int) (stack.Stack, int) {
 //     found, as far as the key answers for (keyCovers). So every stack
 //     the table hands out is the one runtime.Callers gives, whatever
 //     wrapper or inlined frames the physical walk met. Checked on the
-//     miss, never on a hit.
+//     miss, never on a hit: a key that does not cover is stored as a
+//     refusal (a nil entry), and every acquisition that walks it pays the
+//     recapture alone.
 //
 // The epoch and bound come from one index load before the walk, so a
 // concurrent index publish at worst leaves an entry stamped with the
@@ -425,16 +425,21 @@ func (t *Thread) classify(s *Site) (*stack.Interned, bool) {
 	if !cut {
 		epoch = 0
 	}
-	if in, ok := rt.pcCache.GetAt(pcs, epoch); ok {
+	in, ok := rt.pcCache.GetAt(pcs, epoch)
+	if in != nil {
 		safe := cache.FastOK() && cache.ClassifySafe(in)
 		if safe || epoch == 0 {
 			return in, safe
 		}
 		return t.captureStack(1), false
 	}
-	in := t.captureStack(1)
-	if t.keyCovers(pcs, in, cut, s.bound) {
-		rt.pcCache.PutAt(pcs, in, epoch)
+	in = t.captureStack(1)
+	if !ok {
+		key := in
+		if !t.keyCovers(pcs, in, cut, s.bound) {
+			key = nil
+		}
+		rt.pcCache.PutAt(pcs, key, epoch)
 	}
 	return in, cache.FastOK() && cache.ClassifySafe(in)
 }
@@ -446,10 +451,11 @@ func (t *Thread) classify(s *Site) (*stack.Interned, bool) {
 // very bottom of a stack shorter than its bound. Any other walk that
 // filled its buffer must cover its bound: its first bound application
 // frames must be in's first bound frames. A filled walk that resolves to
-// fewer — the stack had more wrapper frames than walkSlack — is not
-// stored, and every acquisition from it is recaptured.
+// fewer — the stack had more wrapper frames than walkSlack — does not
+// cover, nor does a walk that stopped short of the stack's bottom
+// (fpWalk) or resolved to other frames than runtime.Callers'.
 func (t *Thread) keyCovers(pcs []uintptr, in *stack.Interned, cut bool, bound int) bool {
-	s, _ := appFrames(pcs, stack.MaxCaptureDepth)
+	s, _ := appFrames(stack.ResolveWalk(pcs, stack.MaxCaptureDepth))
 	if !cut || len(in.S) < bound {
 		return s.Suffix(t.rt.cfg.captureDepth).Equal(in.S)
 	}

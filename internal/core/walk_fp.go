@@ -10,22 +10,25 @@ import (
 )
 
 // getfp returns the frame pointer of the function that calls it
-// (getfp_*.s): the address of that function's frame record, whose first
-// word is its caller's frame pointer and whose second is its return PC.
-// It returns unsafe.Pointer so that the walk reads the records through
-// unsafe.Add, never a uintptr conversion.
-func getfp() unsafe.Pointer
+// (getfp_*.s) — the address of that function's frame record, whose first
+// word is its caller's frame pointer and whose second is its return PC —
+// and the calling goroutine's g, the runtime's descriptor of it, whose
+// first two words are the bounds of the goroutine's stack. It returns
+// unsafe.Pointers so that the walk reads the records through unsafe.Add,
+// never a uintptr conversion.
+func getfp() (fp, gp unsafe.Pointer)
 
 // Walk records into buf (s's own, from Bound) the raw return PCs of the
 // caller of the function it is called from, and outward: s.Walk(s.Bound(l))
 // in an entry point's body starts at the application's frame. Once the
 // walker is verified (walkerVerified) it follows the frame-pointer chain,
 // a few nanoseconds for the whole bound; until then, and for good if the
-// verification disagreed, it calls runtime.Callers.
+// verification disagreed, it calls runtime.Callers. An empty buf walks
+// nothing and settles nothing.
 //
 // The PCs are physical: one per real frame, the return address into it.
 // An inlined call shares its caller's PC and a compiler-generated wrapper
-// has one of its own, so k PCs resolve (stack.ResolvePCs) to k logical
+// has one of its own, so k PCs resolve (stack.ResolveWalk) to k logical
 // frames plus the inlined ones, minus the wrappers runtime.Callers would
 // have elided. Bound leaves walkSlack PCs for those wrappers, and
 // classify stores a key only where its resolution covers the bound.
@@ -39,36 +42,54 @@ func getfp() unsafe.Pointer
 //
 //go:noinline
 func (s *Site) Walk(buf []uintptr) {
+	if len(buf) == 0 {
+		return
+	}
 	if walkMode.Load() != walkFP && !s.probe && !walkerVerified() {
 		// Skips runtime.Callers, Walk and the entry point.
 		s.n = runtime.Callers(3, buf)
 		return
 	}
-	s.n = fpWalk(getfp(), buf)
+	fp, gp := getfp()
+	s.n = fpWalk(fp, gp, buf)
 }
 
 // fpWalk records the return PCs of the frames above the one whose frame
 // record fp is (Walk's): the first is the PC the entry point returns to.
-// It stops at the first nil or misaligned frame pointer — the bottom of
-// the goroutine's stack is a nil one — or when buf is full. Nosplit, so
-// the stack cannot move under the walk; the frame records it reads are
-// other functions' stack slots, which neither checkptr nor the race
-// detector may instrument.
+// It reads only frame records inside the stack of the goroutine gp, each
+// further up than the last, and stops at the first saved frame pointer
+// that is not one — the bottom of the goroutine's stack saves a nil one —
+// or when buf is full. So it never follows a frame pointer out of Go's
+// own frames: Go code that C called back (cgo) runs on the goroutine's
+// stack, and the callback's outermost frame saved a pointer into the
+// thread's system stack, above which C code, built without frame
+// pointers, leaves whatever its frame-pointer register held. The walk
+// ends there, short of its bound, as a complete key that its check
+// against runtime.Callers refuses (classify).
+//
+// Nosplit, so the stack cannot move under the walk; the frame records it
+// reads are other functions' stack slots, which neither checkptr nor the
+// race detector may instrument.
 //
 //go:nosplit
 //go:nocheckptr
 //go:norace
-func fpWalk(fp unsafe.Pointer, buf []uintptr) int {
+func fpWalk(fp, gp unsafe.Pointer, buf []uintptr) int {
 	const word = unsafe.Sizeof(uintptr(0))
-	if fp == nil || uintptr(fp)%word != 0 {
+	lo, hi := *(*uintptr)(gp), *(*uintptr)(unsafe.Add(gp, word)) // runtime.g.stack
+	below := uintptr(fp)
+	if below < lo || below > hi-2*word {
 		return 0
 	}
-	fp = *(*unsafe.Pointer)(fp) // Walk's frame -> the entry point's
 	n := 0
-	for n < len(buf) && fp != nil && uintptr(fp)%word == 0 {
+	for ; n < len(buf); n++ {
+		fp = *(*unsafe.Pointer)(fp) // Walk's frame -> the entry point's, and outward
+		at := uintptr(fp)
+		if at <= below || at > hi-2*word || at%word != 0 {
+			break
+		}
 		buf[n] = *(*uintptr)(unsafe.Add(fp, word))
-		fp = *(*unsafe.Pointer)(fp)
-		n++
+		below = at
 	}
 	return n
 }
@@ -121,6 +142,6 @@ func (p *walkProbe) entry() {
 	s.Walk(s.pcs[:])
 	var ref [len(s.pcs)]uintptr
 	n := runtime.Callers(2, ref[:]) // skips Callers and entry
-	p.walked = stack.ResolvePCs(s.pcs[:s.n], stack.MaxCaptureDepth)
+	p.walked = stack.ResolveWalk(s.pcs[:s.n], stack.MaxCaptureDepth)
 	p.ref = stack.ResolvePCs(ref[:n], stack.MaxCaptureDepth)
 }

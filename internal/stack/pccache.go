@@ -23,6 +23,10 @@ import (
 // epoch it was recorded at (GetAt, PutAt): the epoch's index says how
 // many frames a verdict depends on, a later one may need more than the
 // key covers. The two kinds never answer for each other.
+//
+// An entry may hold a nil stack: its caller refused the key (a walk that
+// could not stand for the stack it walked) and records the refusal, so
+// that the key is not checked again. A lookup returns it as (nil, true).
 type PCCache struct {
 	shards [pcShards]pcShard
 }

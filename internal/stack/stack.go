@@ -85,16 +85,29 @@ func Capture(skip, max int) Stack {
 	return ResolvePCs(pcs[:n], max)
 }
 
-// ResolvePCs expands a raw PC stack into at most max normalized frames,
-// the frames runtime.Callers would report for the same call path. It
-// accepts runtime.Callers' logical PCs and a frame-pointer walk's physical
-// return PCs alike: runtime.CallersFrames recovers the inlined frames a
-// physical PC stands for, and ResolvePCs drops the compiler-generated
-// wrapper frames runtime.Callers elides (see wrapperFrame), which a
-// physical walk records like any other frame. Resolution is
-// deterministic: identical PC stacks always produce identical frames,
+// ResolvePCs expands a raw PC stack, as runtime.Callers records it, into
+// at most max normalized frames. Resolution is deterministic: identical
+// PC stacks always produce identical frames (inline expansion included),
 // which is what makes PCCache sound.
 func ResolvePCs(pcs []uintptr, max int) Stack {
+	return resolve(pcs, max, false)
+}
+
+// ResolveWalk expands the physical return PCs of a frame-pointer walk
+// into at most max normalized frames, the frames runtime.Callers would
+// report for the same call path: runtime.CallersFrames recovers the
+// inlined frames a physical PC stands for, and ResolveWalk drops the
+// compiler-generated wrapper frames runtime.Callers elides, which a
+// physical walk records like any other frame (see wrapperFrame). The
+// wrappers are told by name, so a shape the names miss resolves to other
+// frames than runtime.Callers'; that is why a walk's resolution only ever
+// checks a walk against a runtime.Callers capture, and no stack Dimmunix
+// keeps comes from it.
+func ResolveWalk(pcs []uintptr, max int) Stack {
+	return resolve(pcs, max, true)
+}
+
+func resolve(pcs []uintptr, max int, elide bool) Stack {
 	if len(pcs) == 0 {
 		return nil
 	}
@@ -110,7 +123,7 @@ func ResolvePCs(pcs []uintptr, max int) Stack {
 	s := make(Stack, 0, len(pcs))
 	for {
 		fr, more := frames.Next()
-		if fr.Function != "" && !wrapperFrame(fr) {
+		if fr.Function != "" && !(elide && wrapperFrame(fr.Function, fr.File)) {
 			s = append(s, Frame{
 				Func: fr.Function,
 				File: baseName(fr.File),
@@ -124,19 +137,36 @@ func ResolvePCs(pcs []uintptr, max int) Stack {
 	return s
 }
 
-// wrapperFrame reports whether fr is a compiler-generated wrapper, which
-// runtime.Callers leaves out of its PCs: a method value's ("…-fm"), a
-// promoted or pointer-receiver method's and an ABI wrapper (all in
-// "<autogenerated>"), and the closures a go or defer statement with
-// arguments compiles to ("….gowrapN", "….deferwrapN"). The runtime hides
-// runtime.deferreturn, which runs a function's deferred calls where they
-// are not open-coded (as in a build without optimizations), the same way.
-func wrapperFrame(fr runtime.Frame) bool {
-	if fr.File == "<autogenerated>" || fr.Function == "runtime.deferreturn" || strings.HasSuffix(fr.Function, "-fm") {
+// wrapperFrame reports whether the frame of function fn in file is a
+// compiler-generated wrapper, which runtime.Callers leaves out of its PCs:
+// a method value's ("…-fm"), a promoted or pointer-receiver method's and
+// an ABI wrapper (all in "<autogenerated>"), and the closure a go or
+// defer statement with arguments compiles to, named after the function it
+// is in ("pkg.f.gowrap1", "pkg.(*T).m.deferwrap2"). A top-level function
+// or a pointer method so named is not taken for one; a value method is
+// ("pkg.T.gowrap1" reads as a closure of T), which costs its walks a
+// recapture, never a frame of a stack. So is runtime.deferreturn, which
+// runs a function's deferred calls where the compiler does not open-code
+// them (in a build without optimizations, say): the linker marks it a
+// wrapper, as it marks the others, so runtime.Callers leaves it out.
+func wrapperFrame(fn, file string) bool {
+	if file == "<autogenerated>" || fn == "runtime.deferreturn" || strings.HasSuffix(fn, "-fm") {
 		return true
 	}
-	name := fr.Function[strings.LastIndexByte(fr.Function, '.')+1:]
-	return numbered(name, "gowrap") || numbered(name, "deferwrap")
+	parent, name, ok := cutLast(fn[strings.LastIndexByte(fn, '/')+1:], '.')
+	if !ok || !numbered(name, "gowrap") && !numbered(name, "deferwrap") {
+		return false
+	}
+	_, outer, ok := cutLast(parent, '.') // the function the closure is in
+	return ok && !strings.HasPrefix(outer, "(")
+}
+
+// cutLast slices s around the last instance of sep.
+func cutLast(s string, sep byte) (before, after string, found bool) {
+	if i := strings.LastIndexByte(s, sep); i >= 0 {
+		return s[:i], s[i+1:], true
+	}
+	return s, "", false
 }
 
 // numbered reports whether name is prefix followed by a decimal number.

@@ -108,6 +108,32 @@ func TestCaptureMax(t *testing.T) {
 	}
 }
 
+// TestWrapperFrameNames: the walk's resolution drops the wrappers
+// runtime.Callers elides, and keeps an application's own functions whose
+// names only look like one.
+func TestWrapperFrameNames(t *testing.T) {
+	for _, c := range []struct {
+		fn, file string
+		want     bool
+	}{
+		{"example.com/app.(*Pool).Get-fm", "pool.go", true},
+		{"example.com/app.(*Pool).Lock", "<autogenerated>", true},
+		{"example.com/app.serve.gowrap1", "app.go", true},
+		{"example.com/app.(*Conn).close.deferwrap2", "conn.go", true},
+		{"example.com/app.serve.func1.gowrap3", "app.go", true},
+		{"example.com/app.gowrap1", "app.go", false},
+		{"example.com/app.(*T).deferwrap2", "t.go", false},
+		{"example.com/app.serve.gowrap", "app.go", false},
+		{"example.com/app.serve.gowrap1x", "app.go", false},
+		{"runtime.deferreturn", "panic.go", true},
+		{"example.com/app.serve", "app.go", false},
+	} {
+		if got := wrapperFrame(c.fn, c.file); got != c.want {
+			t.Errorf("wrapperFrame(%q, %q) = %v, want %v", c.fn, c.file, got, c.want)
+		}
+	}
+}
+
 func TestCaptureSkip(t *testing.T) {
 	s0 := Capture(0, 0)
 	s1 := Capture(1, 0)

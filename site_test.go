@@ -33,13 +33,14 @@ func observeSites(t *testing.T) func() [][]uintptr {
 	}
 }
 
-// firstFrame resolves the innermost frame of a raw PC stack past the
-// compiler-generated wrappers runtime.Callers elides, as the call-site
-// table does (stack.ResolvePCs): an entry point's walk is physical, and
-// the first PC of a lock taken through a method value is its wrapper's.
+// firstFrame resolves the innermost frame of an entry point's walk past
+// the compiler-generated wrappers runtime.Callers elides, as the
+// call-site table's check does (stack.ResolveWalk): the walk is physical,
+// and the first PC of a lock taken through a method value is its
+// wrapper's.
 func firstFrame(pcs []uintptr) stack.Frame {
 	var f stack.Frame
-	if s := stack.ResolvePCs(pcs, 1); len(s) == 1 {
+	if s := stack.ResolveWalk(pcs, 1); len(s) == 1 {
 		f = s[0]
 	}
 	return f

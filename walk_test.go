@@ -5,11 +5,14 @@
 package dimmunix_test
 
 import (
+	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dimmunix"
 	"dimmunix/internal/core"
@@ -38,6 +41,33 @@ func TestCallersWalkFallback(t *testing.T) {
 	}
 	for _, c := range pipeChecks {
 		t.Run(c.name, func(t *testing.T) { forEachEntry(t, c.check) })
+	}
+}
+
+// TestWalkStaysOnTheGoroutineStack: locks taken in Go code that C calls
+// back, from a C caller whose frame-pointer register points at a page
+// that faults on any access (testdata/cgocallback), under a bound that
+// reaches past the callback's Go frames. Each walk stops at the
+// callback's outermost Go frame — reading C's frame pointer would kill
+// the process — and each interned stack is runtime.Callers'. The C caller
+// is x86-64 assembly, so the test needs amd64 and cgo.
+func TestWalkStaysOnTheGoroutineStack(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("testdata/cgocallback's C caller is x86-64 assembly")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command to build testdata/cgocallback")
+	}
+	if out, err := exec.Command(goTool, "env", "CGO_ENABLED").Output(); err != nil || strings.TrimSpace(string(out)) != "1" {
+		t.Skip("cgo is disabled")
+	}
+	bin := filepath.Join(t.TempDir(), "cgocallback")
+	if out, err := exec.Command(goTool, "build", "-o", bin, "./testdata/cgocallback").CombinedOutput(); err != nil {
+		t.Fatalf("building testdata/cgocallback: %v\n%s", err, out)
+	}
+	if out, err := exec.Command(bin).CombinedOutput(); err != nil || strings.TrimSpace(string(out)) != "ok" {
+		t.Fatalf("testdata/cgocallback: %v\n%s", err, out)
 	}
 }
 
@@ -223,5 +253,33 @@ func TestKeyShortOfItsBoundIsNotStored(t *testing.T) {
 	p.Unlock()
 	if fast, guarded := rt.Stats().FastAcquired-before.FastAcquired, rt.Stats().GuardedAcquired-before.GuardedAcquired; fast != 0 || guarded != 1 {
 		t.Fatalf("dangerous path shortX after shortY: fast=%d guarded=%d, want the guarded tier", fast, guarded)
+	}
+}
+
+// TestRefusedKeyCostsTheRecaptureAlone: the short key of
+// TestKeyShortOfItsBoundIsNotStored is checked once. Its refusal is
+// remembered, so each later acquisition from it pays the recapture from
+// inside the lock path, which the call-site table answers, and resolves
+// nothing: it allocates nothing.
+func TestRefusedKeyCostsTheRecaptureAlone(t *testing.T) {
+	// An idle monitor and no pruning: the lock path is the only allocator.
+	initDefault(t, dimmunix.WithMatchDepth(4), dimmunix.WithTau(time.Hour), dimmunix.WithThreadTTL(-1))
+	var p promoted
+	var l sync.Locker = &p
+	k, lock := &shortKey{}, l.Lock // one method value: making one allocates
+	pair := func() {
+		shortY(k, lock)
+		p.Unlock()
+	}
+	for range 10 {
+		pair()
+	}
+	captures := countCaptures(t)
+	const runs = 200
+	if avg := testing.AllocsPerRun(runs, pair); avg >= 1 {
+		t.Errorf("an acquisition from a refused key allocates %.2f times, want 0: it is resolved and checked again", avg)
+	}
+	if got := captures.Load(); got < runs {
+		t.Errorf("%d captures from inside the lock path in %d acquisitions from a refused key, want one each", got, runs)
 	}
 }
