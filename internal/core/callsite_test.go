@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -189,5 +191,105 @@ func TestTierHintSharedLockConcurrent(t *testing.T) {
 func TestThreadSize(t *testing.T) {
 	if size := unsafe.Sizeof(Thread{}); size > 160 {
 		t.Fatalf("sizeof(Thread) = %d B, want <= 160", size)
+	}
+}
+
+// skewedAcquire plays an entry point inlined into the application: it
+// walks in the application's own body, so its walk starts one frame out,
+// at its caller's return address, and both its acquisition lines — site
+// A and site B — hand the pipeline the same PCs. It returns the line of
+// the acquisition it made.
+//
+//go:noinline
+func skewedAcquire(t *testing.T, th *Thread, m *Mutex, b bool) int {
+	var s Site
+	s.Walk(s.Bound(m))
+	var line int
+	var err error
+	if b {
+		line, err = lineHere(), m.rt.acquire(th, m, m.ls, &s, lockReq{}) // site B
+	} else {
+		line, err = lineHere(), m.rt.acquire(th, m, m.ls, &s, lockReq{}) // site A
+	}
+	if err != nil {
+		t.Error(err)
+	} else if err := m.UnlockT(th); err != nil {
+		t.Error(err)
+	}
+	return line
+}
+
+// lineHere returns the source line it is called from.
+func lineHere() int {
+	_, _, line, _ := runtime.Caller(1)
+	return line
+}
+
+// skewedGo runs skewedAcquire at the bottom of a goroutine of its own, so
+// every acquisition walks the same frames wherever the test drives it
+// from.
+//
+//go:noinline
+func skewedGo(t *testing.T, th *Thread, m *Mutex, b bool) int {
+	var line int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		line = skewedAcquire(t, th, m, b)
+	}()
+	<-done
+	return line
+}
+
+// TestSkewedWalkCostsRecapturesNeverAStack: a walker that disagrees with
+// runtime.Callers — here one whose walk starts a frame out, so two call
+// sites share every walked PC — costs recaptures, never a stack. Its key
+// never resolves to the recapture's stack (keyCovers), so it is refused:
+// each interned stack's innermost frame is its own acquisition line, a
+// signature on site A sends A to the guarded tier after B warmed the
+// shared key on the fast tier, and each warm acquisition pays exactly one
+// capture from inside the lock path.
+func TestSkewedWalkCostsRecapturesNeverAStack(t *testing.T) {
+	rt := MustNew(testConfig())
+	defer rt.Stop()
+	th := rt.RegisterThread("skewed")
+	defer th.Close()
+	m := rt.NewMutex()
+
+	capturedAt := func(line int) stack.Stack {
+		for _, s := range rt.CapturedStacks() {
+			if len(s) > 0 && s[0].Func == "dimmunix/internal/core.skewedAcquire" && s[0].Line == line {
+				return s
+			}
+		}
+		return nil
+	}
+	lineA := skewedGo(t, th, m, false)
+	sA := capturedAt(lineA)
+	if sA == nil {
+		t.Fatalf("site A's stack (callsite_test.go:%d) was not interned", lineA)
+	}
+	nobody := stack.Stack{{Func: "nobody.lock", File: "nobody.go", Line: 1}}
+	rt.History().Add(signature.New(signature.Deadlock, []stack.Stack{sA, nobody}, 4))
+
+	var captures atomic.Int64
+	defer ObserveCaptures(func() { captures.Add(1) })()
+	for i := range 3 {
+		before, warm := rt.Stats(), captures.Load()
+		lineB := skewedGo(t, th, m, true)
+		if got := rt.Stats().FastAcquired - before.FastAcquired; got != 1 {
+			t.Fatalf("site B, acquisition %d: %d fast acquisitions, want 1", i, got)
+		}
+		if got := captures.Load() - warm; i > 0 && got != 1 {
+			t.Errorf("site B, warm acquisition %d: %d captures from inside the lock path, want exactly 1", i, got)
+		}
+		if capturedAt(lineB) == nil {
+			t.Fatalf("site B's stack (callsite_test.go:%d) was not interned: its acquisition got another site's stack", lineB)
+		}
+	}
+	before := rt.Stats()
+	skewedGo(t, th, m, false)
+	if fast, guarded := rt.Stats().FastAcquired-before.FastAcquired, rt.Stats().GuardedAcquired-before.GuardedAcquired; fast != 0 || guarded != 1 {
+		t.Fatalf("site A after site B warmed their shared walk: fast=%d guarded=%d, want the guarded tier", fast, guarded)
 	}
 }

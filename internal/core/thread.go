@@ -115,73 +115,18 @@ func (rt *Runtime) fullBound(wrap int) int {
 //	s.Walk(s.Bound(m))
 //
 // acquire classifies the PCs (Thread.classify) and never walks on the
-// steady-state path. A Site bounded by another runtime's view is not
-// classified: acquire then captures from inside.
+// steady-state path. The PCs are whatever this GOARCH's Walk records —
+// physical frames by frame pointers, or runtime.Callers' logical ones —
+// and classify stores them as a key only once they resolve to
+// runtime.Callers' stack (keyCovers). A Site bounded by another
+// runtime's view is not classified: acquire then captures from inside.
 type Site struct {
 	rt    *Runtime     // whose view bounded the walk
 	hint  *atomic.Bool // the bounding lock's tier hint, kept by acquire; nil: none
 	epoch uint64       // danger-index epoch of a depth-bounded walk; 0: complete
 	bound int          // application frames the walk must cover; 0: nothing walks
 	n     int          // PCs recorded
-	probe bool         // the walker's verification: Walk walks by frame pointers unverified
 	pcs   [stack.MaxCaptureDepth + walkSlack]uintptr
-}
-
-// walkSlack is how many PCs a walk takes beyond its bound of application
-// frames. Walk's PCs are physical (see Walk), and a compiler-generated
-// wrapper between two application frames — a method value's, a promoted
-// method's, a go or defer statement's — is one more physical frame that
-// runtime.Callers, and the resolution, leave out. Without the slack a
-// goroutine started by "go f(args)" could never cover its bound: its
-// every key would stop one frame short and send each acquisition back to
-// captureStack. A key that needs more than walkSlack wrappers is still
-// sound, only never stored (classify).
-const walkSlack = 2
-
-// Walk modes: how Site.Walk reads the stack, settled once per process by
-// walkerVerified.
-const (
-	walkUnverified uint32 = iota
-	walkFP                // the frame-pointer walk, verified
-	walkCallers           // runtime.Callers, for the rest of the process
-)
-
-var (
-	walkMode  atomic.Uint32
-	walkCheck sync.Once
-)
-
-// walkerVerified settles the walk mode on first use and reports whether
-// Walk may follow frame pointers. The frame-pointer walker is trusted only
-// once its resolved walk of a fixed call chain equals runtime.Callers'
-// (verifyWalker); a disagreement, or a GOARCH without the walker, leaves
-// the process on runtime.Callers for good, with no error.
-func walkerVerified() bool {
-	walkCheck.Do(func() {
-		if verifyWalker(0) {
-			walkMode.Store(walkFP)
-		} else {
-			walkMode.Store(walkCallers)
-		}
-	})
-	return walkMode.Load() == walkFP
-}
-
-// WalksFramePointers reports whether this process's entry points walk by
-// frame pointers (settling the walk mode if nothing has walked yet).
-func WalksFramePointers() bool { return walkerVerified() }
-
-// ForceWalkFallback verifies the walker again on a walk that starts one
-// frame out — what an inlined entry point would hand it — so the
-// verification disagrees and the process walks with runtime.Callers until
-// restore runs. It exists to test the fallback.
-func ForceWalkFallback() (restore func()) {
-	walkerVerified()
-	prev := walkMode.Load()
-	if !verifyWalker(1) {
-		walkMode.Store(walkCallers)
-	}
-	return func() { walkMode.Store(prev) }
 }
 
 // siteOwner is a lock an entry point bounds its walk for: its runtime,
@@ -399,10 +344,12 @@ func appFrames(raw stack.Stack) (stack.Stack, int) {
 //     the walk's key is stored only if it resolves to what the recapture
 //     found, as far as the key answers for (keyCovers). So every stack
 //     the table hands out is the one runtime.Callers gives, whatever
-//     wrapper or inlined frames the physical walk met. Checked on the
-//     miss, never on a hit: a key that does not cover is stored as a
-//     refusal (a nil entry), and every acquisition that walks it pays the
-//     recapture alone.
+//     wrapper or inlined frames the physical walk met, and whatever
+//     walker made it: this is the one check that Walk agrees with
+//     runtime.Callers, and a walk that disagrees costs recaptures,
+//     never a stack. Checked on the miss, never on a hit: a key that
+//     does not cover is stored as a refusal (a nil entry), and every
+//     acquisition that walks it pays the recapture alone.
 //
 // The epoch and bound come from one index load before the walk, so a
 // concurrent index publish at worst leaves an entry stamped with the
@@ -453,7 +400,9 @@ func (t *Thread) classify(s *Site) (*stack.Interned, bool) {
 // frames must be in's first bound frames. A filled walk that resolves to
 // fewer — the stack had more wrapper frames than walkSlack — does not
 // cover, nor does a walk that stopped short of the stack's bottom
-// (fpWalk) or resolved to other frames than runtime.Callers'.
+// (fpWalk) or resolved to other frames than runtime.Callers'. It is the
+// walker's only parity check with runtime.Callers: a walker that skips,
+// adds or misnames frames has its keys refused here, one miss each.
 func (t *Thread) keyCovers(pcs []uintptr, in *stack.Interned, cut bool, bound int) bool {
 	s, _ := appFrames(stack.ResolveWalk(pcs, stack.MaxCaptureDepth))
 	if !cut || len(in.S) < bound {

@@ -2,12 +2,7 @@
 
 package core
 
-import (
-	"runtime"
-	"unsafe"
-
-	"dimmunix/internal/stack"
-)
+import "unsafe"
 
 // getfp returns the frame pointer of the function that calls it
 // (getfp_*.s) — the address of that function's frame record, whose first
@@ -20,18 +15,19 @@ func getfp() (fp, gp unsafe.Pointer)
 
 // Walk records into buf (s's own, from Bound) the raw return PCs of the
 // caller of the function it is called from, and outward: s.Walk(s.Bound(l))
-// in an entry point's body starts at the application's frame. Once the
-// walker is verified (walkerVerified) it follows the frame-pointer chain,
-// a few nanoseconds for the whole bound; until then, and for good if the
-// verification disagreed, it calls runtime.Callers. An empty buf walks
-// nothing and settles nothing.
+// in an entry point's body starts at the application's frame. It follows
+// the frame-pointer chain (fpWalk), a few nanoseconds for the whole bound.
+// An empty buf walks nothing.
 //
 // The PCs are physical: one per real frame, the return address into it.
 // An inlined call shares its caller's PC and a compiler-generated wrapper
 // has one of its own, so k PCs resolve (stack.ResolveWalk) to k logical
 // frames plus the inlined ones, minus the wrappers runtime.Callers would
-// have elided. Bound leaves walkSlack PCs for those wrappers, and
-// classify stores a key only where its resolution covers the bound.
+// have elided. Bound leaves walkSlack PCs for those wrappers. Nothing
+// here checks the walk against runtime.Callers: classify does, on every
+// table miss, and stores a key only where its resolution is the
+// recapture's (keyCovers), so a walk that disagrees costs recaptures,
+// never a stack.
 //
 // The hop count is fixed: Walk is never inlined, so the frame it reads
 // is its own, one hop from the entry point's, whose return PC is the
@@ -45,14 +41,20 @@ func (s *Site) Walk(buf []uintptr) {
 	if len(buf) == 0 {
 		return
 	}
-	if walkMode.Load() != walkFP && !s.probe && !walkerVerified() {
-		// Skips runtime.Callers, Walk and the entry point.
-		s.n = runtime.Callers(3, buf)
-		return
-	}
 	fp, gp := getfp()
 	s.n = fpWalk(fp, gp, buf)
 }
+
+// walkSlack is how many PCs a walk takes beyond its bound of application
+// frames. Walk's PCs are physical, and a compiler-generated wrapper
+// between two application frames — a method value's, a promoted
+// method's, a go or defer statement's — is one more physical frame that
+// runtime.Callers, and the resolution, leave out. Without the slack a
+// goroutine started by "go f(args)" could never cover its bound: its
+// every key would stop one frame short and send each acquisition back to
+// captureStack. A key that needs more than walkSlack wrappers is still
+// sound, only never stored (classify).
+const walkSlack = 2
 
 // fpWalk records the return PCs of the frames above the one whose frame
 // record fp is (Walk's): the first is the PC the entry point returns to.
@@ -92,56 +94,4 @@ func fpWalk(fp, gp unsafe.Pointer, buf []uintptr) int {
 		below = at
 	}
 	return n
-}
-
-// verifyWalker walks a fixed call chain both by frame pointers (through
-// Walk itself) and by runtime.Callers, on a goroutine of its own, and
-// reports whether the two resolve to the same frames. The chain has every
-// shape the resolution must get right: an inlined call, a method-value
-// wrapper, a deferred call's wrapper and the go statement's wrapper at the
-// bottom. skew drops that many frames off the front of the frame-pointer
-// walk first — a walk starting that many frames out, as it would from an
-// inlined entry point — to make it disagree (ForceWalkFallback).
-func verifyWalker(skew int) bool {
-	p := &walkProbe{}
-	done := make(chan struct{})
-	go probeTop(p, p.mid, done)
-	<-done
-	return len(p.ref) > 0 && p.walked[min(skew, len(p.walked)):].Equal(p.ref)
-}
-
-// walkProbe carries one verification: what the chain's two walks
-// resolved to.
-type walkProbe struct {
-	walked, ref stack.Stack
-}
-
-//go:noinline
-func probeTop(p *walkProbe, mid func(), done chan<- struct{}) {
-	mid() // through the method value's wrapper
-	close(done)
-}
-
-//go:noinline
-func (p *walkProbe) mid() { p.inlined() }
-
-// inlined is small enough to inline into mid: its call shares mid's PC.
-func (p *walkProbe) inlined() { p.deferring() }
-
-//go:noinline
-func (p *walkProbe) deferring() {
-	defer p.entry() // through the deferred call's wrapper
-}
-
-// entry plays an acquisition entry point: it walks its caller's frames
-// with Walk, unverified, and captures the same frames with Callers.
-//
-//go:noinline
-func (p *walkProbe) entry() {
-	s := Site{probe: true}
-	s.Walk(s.pcs[:])
-	var ref [len(s.pcs)]uintptr
-	n := runtime.Callers(2, ref[:]) // skips Callers and entry
-	p.walked = stack.ResolveWalk(s.pcs[:s.n], stack.MaxCaptureDepth)
-	p.ref = stack.ResolvePCs(ref[:n], stack.MaxCaptureDepth)
 }

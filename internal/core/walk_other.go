@@ -8,7 +8,7 @@ import "runtime"
 // of the function it is called from, and outward: s.Walk(s.Bound(l)) in
 // an entry point's body starts at the application's frame. This GOARCH
 // has no frame-pointer walker, so Walk calls runtime.Callers, whose PCs
-// are logical frames.
+// are logical frames, the ones classify's recapture reads (keyCovers).
 //
 //go:noinline
 func (s *Site) Walk(buf []uintptr) {
@@ -16,5 +16,9 @@ func (s *Site) Walk(buf []uintptr) {
 	s.n = runtime.Callers(3, buf)
 }
 
-// verifyWalker has no frame-pointer walker to verify on this GOARCH.
-func verifyWalker(int) bool { return false }
+// walkSlack is how many PCs a walk takes beyond its bound of application
+// frames: none, since runtime.Callers reports no wrapper frame for the
+// slack to cover. Any slack would walk frames past the bound that no
+// signature sees, and call paths differing only there would take call-site
+// table entries, and recaptures, of their own.
+const walkSlack = 0

@@ -3,6 +3,7 @@ package gid
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCurrentNonZero(t *testing.T) {
@@ -66,19 +67,22 @@ func TestParse(t *testing.T) {
 	}
 }
 
-// arm drives the process's identity to the armed read, skipping on a
-// GOARCH with no getg stub.
-func arm(t *testing.T) {
+// arm drives the process's identity to the armed read and reports true.
+// On a GOARCH with no getg stub identity must stay the parse, and it
+// reports false.
+func arm(t *testing.T) bool {
 	t.Helper()
-	if getg() == nil {
-		t.Skip("no getg stub on this GOARCH: identity is the parse")
-	}
 	for range verifyN {
 		Current()
 	}
-	if m := Mode(); m != "armed" {
-		t.Fatalf("Mode after %d calls = %q, want armed", verifyN, m)
+	armed, want := getg() != nil, "armed"
+	if !armed {
+		want = "parse"
 	}
+	if m := Mode(); m != want {
+		t.Fatalf("Mode after %d calls = %q, want %s", verifyN, m, want)
+	}
+	return armed
 }
 
 func TestDiscoveryArmsTheRead(t *testing.T) {
@@ -89,15 +93,17 @@ func TestDiscoveryArmsTheRead(t *testing.T) {
 }
 
 // TestPoisonedOffsetFallsBackToParse: a read that disagrees with the parse
-// while verifying moves the process to the parse for good.
+// while verifying moves the process to the parse for good. With no getg
+// stub the process is on the parse from the start, and stays there.
 func TestPoisonedOffsetFallsBackToParse(t *testing.T) {
-	arm(t)
-	poison(t)
-	if got, want := Current(), parsed(); got != want {
-		t.Fatalf("verified call returned %d, parse says %d", got, want)
-	}
-	if m := Mode(); m != "parse" {
-		t.Fatalf("Mode after a disagreeing read = %q, want parse", m)
+	if arm(t) {
+		poison(t)
+		if got, want := Current(), parsed(); got != want {
+			t.Fatalf("verified call returned %d, parse says %d", got, want)
+		}
+		if m := Mode(); m != "parse" {
+			t.Fatalf("Mode after a disagreeing read = %q, want parse", m)
+		}
 	}
 	for range 2 * verifyN {
 		if got, want := Current(), parsed(); got != want {
@@ -110,10 +116,14 @@ func TestPoisonedOffsetFallsBackToParse(t *testing.T) {
 }
 
 // TestConcurrentVerificationArms: goroutines verifying at once agree with
-// the parse throughout and arm the read once between them.
+// the parse throughout and arm the read once between them. With no getg
+// stub they agree with the parse and leave the process on it.
 func TestConcurrentVerificationArms(t *testing.T) {
-	arm(t)
-	reverify(t, 0)
+	want := "parse"
+	if arm(t) {
+		want = "armed"
+		reverify(t, 0)
+	}
 	var wg sync.WaitGroup
 	for range 8 {
 		wg.Add(1)
@@ -128,8 +138,8 @@ func TestConcurrentVerificationArms(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m := Mode(); m != "armed" {
-		t.Fatalf("Mode after %d concurrent verified calls = %q, want armed", 8*verifyN, m)
+	if m := Mode(); m != want {
+		t.Fatalf("Mode after %d concurrent verified calls = %q, want %s", 8*verifyN, m, want)
 	}
 }
 
@@ -156,15 +166,21 @@ func TestSettleNeedsExactlyOneOffset(t *testing.T) {
 	}
 }
 
+// TestCandidatesFindTheGoid: discovery's scan finds the parsed goid among
+// g's words. With no getg stub it scans a stand-in g holding the goid at
+// byte offset 160.
 func TestCandidatesFindTheGoid(t *testing.T) {
-	if getg() == nil {
-		t.Skip("no getg stub on this GOARCH")
+	g := getg()
+	var standIn [scanWords]uint64
+	if g == nil {
+		standIn[20] = parsed()
+		g = unsafe.Pointer(&standIn)
 	}
-	set := candidates(getg(), parsed())
-	if set == 0 {
-		t.Fatal("no word of g equals the parsed goid")
+	set := candidates(g, parsed())
+	if set == 0 || getg() == nil && set != 1<<20 {
+		t.Fatalf("candidates = %#x: the scan missed the parsed goid", set)
 	}
-	if candidates(getg(), 0) != 0 {
+	if candidates(g, 0) != 0 {
 		t.Fatal("an unparsed goid produced candidates")
 	}
 }
@@ -172,9 +188,12 @@ func TestCandidatesFindTheGoid(t *testing.T) {
 // TestArmedReadAgreesOnRecycledGs: the armed read names goroutines by
 // goid, not by g. Sequential short-lived goroutines run on recycled gs;
 // each must still read its own, never reused, goid. Under -race the
-// reads run with checkptr on.
+// reads run with checkptr on. With no getg stub the parse names them.
 func TestArmedReadAgreesOnRecycledGs(t *testing.T) {
-	arm(t)
+	want := "parse"
+	if arm(t) {
+		want = "armed"
+	}
 	const n = 2000
 	type sample struct {
 		g       uintptr
@@ -198,8 +217,8 @@ func TestArmedReadAgreesOnRecycledGs(t *testing.T) {
 	if len(gs) == n {
 		t.Fatalf("%d goroutines ran on %d distinct gs: no g was recycled, so the test proved nothing", n, len(gs))
 	}
-	if m := Mode(); m != "armed" {
-		t.Fatalf("Mode = %q after the recycled-g run, want armed", m)
+	if m := Mode(); m != want {
+		t.Fatalf("Mode = %q after the recycled-g run, want %s", m, want)
 	}
 }
 

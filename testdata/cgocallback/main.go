@@ -46,7 +46,6 @@ import (
 	"strings"
 
 	"dimmunix"
-	"dimmunix/internal/core"
 	"dimmunix/internal/stack"
 )
 
@@ -58,9 +57,6 @@ var (
 )
 
 func main() {
-	if !core.WalksFramePointers() {
-		fail("the process does not walk by frame pointers")
-	}
 	page := C.faulting_page()
 	if page == nil {
 		fail("mmap failed")
