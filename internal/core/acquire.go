@@ -111,7 +111,8 @@ func (dl *deadline) stop() {
 // lock whose avoidance node is ls.
 func (rt *Runtime) acquire(t *Thread, raw rawLock, ls *lockStateRef, s *Site, req lockReq) error {
 	if h := siteHook.Load(); h != nil {
-		(*h)(slices.Clone(s.pcs[:s.n]))
+		buf := slices.Clone(s.buf()) // the hook may keep it: s stays on the stack
+		s.n = copy(s.pcs[:], buf[:(*h)(buf, s.n)])
 	}
 	if req.timeout < 0 {
 		return ErrTimeout

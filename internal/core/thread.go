@@ -199,17 +199,31 @@ func (s *Site) buf() []uintptr {
 	return s.pcs[:s.bound+walkSlack]
 }
 
-// siteHook, when set, observes the PCs every acquisition is handed (see
-// ObserveSites).
-var siteHook atomic.Pointer[func([]uintptr)]
+// siteHook, when set, is handed the PCs of every acquisition's walk
+// before they are classified (see HookSites).
+var siteHook atomic.Pointer[func(buf []uintptr, n int) int]
+
+// HookSites makes every acquisition call fn with its Site's walk buffer
+// and the n PCs its entry point walked into it (0 when nothing walks),
+// until restore runs. fn may rewrite the buffer: the acquisition
+// classifies the PCs at its front, as many as fn returns. A hook set
+// while another is set runs after it, on its PCs. It exists to test the
+// pipeline on what entry points walk, and on what another walker would.
+func HookSites(fn func(buf []uintptr, n int) int) (restore func()) {
+	prev, next := siteHook.Load(), fn
+	if prev != nil {
+		fn = func(buf []uintptr, n int) int { return next(buf, (*prev)(buf, n)) }
+	}
+	siteHook.Store(&fn)
+	return func() { siteHook.Store(prev) }
+}
 
 // ObserveSites makes every acquisition call fn with a copy of the PCs
 // its entry point walked (empty when nothing walked), until restore
 // runs. It exists to test that entry points hand down the application's
 // own frames.
 func ObserveSites(fn func(pcs []uintptr)) (restore func()) {
-	siteHook.Store(&fn)
-	return func() { siteHook.Store(nil) }
+	return HookSites(func(buf []uintptr, n int) int { fn(append([]uintptr(nil), buf[:n]...)); return n })
 }
 
 // guardedHook, when set, observes the stack every guarded acquisition

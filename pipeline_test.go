@@ -433,6 +433,22 @@ func forEachEntry(t *testing.T, check func(*testing.T, pipeEntry)) {
 	}
 }
 
+// pipeChecks are the properties every pipeEntries row is tested for, one
+// test each (TestEntryPointCallSite and the rest): TestCallersWalkFallback
+// runs them all again on runtime.Callers' PCs.
+var pipeChecks = []struct {
+	name  string
+	check func(*testing.T, pipeEntry)
+}{
+	{"EntryPointCallSite", checkEntryPointCallSite},
+	{"FastTierNeverAliasesDangerousPath", checkFastTierNeverAliasesDangerousPath},
+	{"EntryPointsHandDownCallSite", checkEntryPointsHandDownCallSite},
+	{"ModeOffNeverWalks", checkModeOffNeverWalks},
+	{"HintedWalkIsTheCapturedStack", checkHintedWalkIsTheCapturedStack},
+	{"GuardedHintFromSafeSiteTakesFastTier", checkGuardedHintFromSafeSiteTakesFastTier},
+	{"FastHintSeesArchive", checkFastHintSeesArchive},
+}
+
 // capturedAt returns a stack rt captured whose innermost frame is line of
 // this file, or nil.
 func capturedAt(rt *dimmunix.Runtime, line int) stack.Stack {

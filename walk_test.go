@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,51 @@ import (
 // the frame-pointer one, whose PCs are physical frames, or
 // runtime.Callers, whose PCs are logical ones.
 const walksFramePointers = runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64"
+
+// TestCallersWalkFallback: every entry point passes every pipeline check
+// on runtime.Callers' PCs, the walk of every GOARCH without a
+// frame-pointer walker. Each acquisition's walk is replaced, before it is
+// classified, by runtime.Callers' frames from the application's first
+// (callersWalk), so on amd64 and arm64 this runs the runtime.Callers walk
+// under the race detector and in a debugger's build as well.
+func TestCallersWalkFallback(t *testing.T) {
+	var rewalked, missed atomic.Int64
+	defer core.HookSites(func(buf []uintptr, n int) int {
+		if n == 0 {
+			return 0
+		}
+		if m := callersWalk(buf, n); m > 0 {
+			rewalked.Add(1)
+			return m
+		}
+		missed.Add(1)
+		return n
+	})()
+	for _, c := range pipeChecks {
+		t.Run(c.name, func(t *testing.T) { forEachEntry(t, c.check) })
+	}
+	if got := missed.Load(); got != 0 {
+		t.Fatalf("%d walks rewalked by runtime.Callers, %d not found in its stack: want every walk rewalked", rewalked.Load(), got)
+	}
+}
+
+// callersWalk rewrites the walk at buf's front, n PCs, with the frames
+// runtime.Callers reports from the application's innermost on: from the
+// first of them whose PC the walk holds too — the return PC into a
+// physical frame, which runtime.Callers gives its innermost logical
+// frame — past the wrapper frames it elides. It fills buf as far as the
+// stack goes and returns how many PCs it recorded; 0 if no reported PC
+// is in the walk.
+func callersWalk(buf []uintptr, n int) int {
+	var pcs [2 * stack.MaxCaptureDepth]uintptr
+	all := pcs[:runtime.Callers(1, pcs[:])]
+	for i, pc := range all {
+		if slices.Contains(buf[:n], pc) {
+			return copy(buf, all[i:])
+		}
+	}
+	return 0
+}
 
 // TestWalkStaysOnTheGoroutineStack: locks taken in Go code that C calls
 // back, from a C caller whose frame-pointer register points at a page
